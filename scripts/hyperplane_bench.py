@@ -5,7 +5,9 @@ Times plain and line-search cyclic projections on consistent random
 systems A x = b with standard normal entries, 10 starts per size.  The
 default sizes stop at m=5000; pass --sizes 500,5000,50000 for the
 largest row, which needs about 8 * m * (m // 2) bytes of memory (10 GB
-at m=50000).
+at m=50000) for the matrix, held once and never copied, plus
+8 * (m // 2) * 64 bytes of block triangles per cyclic or symmetric
+operator (13 MB at m=50000).
 """
 
 import argparse

@@ -44,7 +44,14 @@ TRACE_DIGITS = 17
 TABLE_DIGITS = 6
 
 SOLVE_METHODS = ("cp", "gk-affine", "sym-cp", "accel-sym-cp", "dr", "accel-dr")
-BENCH_METHODS = ("cp", "accel-cp", "sym-cp", "accel-sym-cp")
+# Composite mode and step rule behind each hyperplane-bench method.
+BENCH_PLANS = {
+    "cp": ("cyclic", StepRule.unit),
+    "accel-cp": ("cyclic", StepRule.gk_affine),
+    "sym-cp": ("symmetric", StepRule.unit),
+    "accel-sym-cp": ("symmetric", StepRule.symmetric),
+}
+BENCH_METHODS = tuple(BENCH_PLANS)
 SWEEP_METHODS = ("cp", "gk-affine")
 
 # x0 is declared already feasible when every constraint residual sits below
@@ -342,7 +349,9 @@ def hyperplane_bench(
 
     The system A x = b has standard normal entries and is consistent by
     construction.  Runs stop when the change between sweeps drops below
-    eps.  Memory grows as 8*n*m bytes for the matrix itself.
+    eps.  Memory grows as 8*n*m bytes for the matrix itself, which the
+    operators share without a copy, plus 8*n*ROW_BLOCK bytes of block
+    triangles for each of the cyclic and symmetric operators in use.
     """
     for name in methods:
         if name not in BENCH_METHODS:
@@ -351,7 +360,8 @@ def hyperplane_bench(
     a = inst_rng.standard_normal((n, m))
     xstar = inst_rng.standard_normal(m)
     b = a @ xstar
-    sets = tuple(Hyperplane(a[i], float(b[i])) for i in range(n))
+    modes = {BENCH_PLANS[name][0] for name in methods}
+    ops = {mode: CycleOperator.from_rows(a, b, mode) for mode in modes}
 
     results = {name: {"iters": [], "res": [], "time": []} for name in methods}
     ok = True
@@ -359,11 +369,10 @@ def hyperplane_bench(
         rep_rng = np.random.default_rng([seed, m, n, r])
         x0 = _unit_start(rep_rng, m)
         for name in methods:
-            solve_name = "gk-affine" if name == "accel-cp" else name
-            op, rule = build_operator(sets, solve_name)
+            mode, rule = BENCH_PLANS[name]
             cfg = SolveConfig(eps=eps, max_iter=max_iter, store_every=0)
             t0 = time.perf_counter()
-            tr = solve(op, rule, x0, cfg)
+            tr = solve(ops[mode], rule(), x0, cfg)
             elapsed = time.perf_counter() - t0
             results[name]["iters"].append(tr.iterations)
             results[name]["res"].append(float(np.linalg.norm(a @ tr.final - b)))

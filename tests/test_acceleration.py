@@ -22,6 +22,7 @@ from cycproj.acceleration import (
 from cycproj.analysis import exact_projection
 from cycproj.geometry import Hyperplane
 from cycproj.operators import (
+    ROW_BLOCK,
     CycleOperator,
     DouglasRachfordOperator,
     FqneCycle,
@@ -127,6 +128,59 @@ def test_step_is_exact_line_search():
         for s in np.linspace(-1.0, 3.0, 81):
             here = np.linalg.norm(x + s * (tr.last - x) - target)
             assert best <= here + 1e-12 * max(1.0, here)
+
+
+def test_solve_steps_match_traced_step_on_row_kernel():
+    # solve takes its step from the row kernel's increments; the reference
+    # is step_gk_affine on the row loop's trace at the same iterate.  Near
+    # convergence both are ratios of roundoff-level differences, so the
+    # error is weighed by the gap |x_k - Q x_k|.
+    rng = np.random.default_rng(59)
+    n, d = 2 * ROW_BLOCK + 5, 3 * ROW_BLOCK
+    a = rng.standard_normal((n, d))
+    b = a @ rng.standard_normal(d)
+    x0 = 5.0 * rng.standard_normal(d)
+    for mode, rule in (("cyclic", StepRule.gk_affine()), ("symmetric", StepRule.symmetric())):
+        op = CycleOperator.from_rows(a, b, mode)
+        tr = solve(op, rule, x0, SolveConfig(eps=1e-10, max_iter=1000))
+        assert tr.converged
+        assert tr.ks == list(range(1, tr.iterations + 1))
+        for x, t in zip([tr.start] + tr.iterates[:-1], tr.steps):
+            ref = op.apply_with_trace(x)
+            err = abs(t - step_gk_affine(ref)) * math.sqrt(ref.total_sq)
+            assert err <= 1e-12 * np.linalg.norm(x)
+
+
+class _RowLoop:
+    """Test-local reference composite: one projection per hyperplane, in order."""
+
+    def __init__(self, sets):
+        self.sets = tuple(sets)
+        self.dim = self.sets[0].dim
+
+    def apply(self, x):
+        for s in self.sets:
+            x = s.project(x)
+        return x
+
+
+def test_row_kernel_iteration_counts_match_row_loop():
+    # Criterion 09's instance: hyperplane_bench(m=500, n=250, seed=0), 10 starts.
+    m, n, seed = 500, 250, 0
+    inst_rng = np.random.default_rng([seed, m, n])
+    a = inst_rng.standard_normal((n, m))
+    b = a @ inst_rng.standard_normal(m)
+    cfg = SolveConfig(eps=1e-6, max_iter=100_000, store_every=0)
+    for mode in ("cyclic", "symmetric"):
+        kernel = CycleOperator.from_rows(a, b, mode)
+        loop = _RowLoop(kernel._stage_sets)
+        for r in range(10):
+            v = np.random.default_rng([seed, m, n, r]).standard_normal(m)
+            x0 = (10.0 / np.linalg.norm(v)) * v
+            fast = solve(kernel, StepRule.unit(), x0, cfg)
+            slow = solve(loop, StepRule.unit(), x0, cfg)
+            assert fast.converged and slow.converged
+            assert fast.iterations == slow.iterations
 
 
 def test_symmetric_step_equals_affine_step_on_unfolded_cycle():

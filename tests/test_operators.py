@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cycproj.geometry import (
+    DimensionMismatchError,
     HalfSpace,
     Hyperplane,
     InfeasibleProblemError,
@@ -12,6 +13,7 @@ from cycproj.geometry import (
     reflect,
 )
 from cycproj.operators import (
+    ROW_BLOCK,
     CycleOperator,
     DouglasRachfordOperator,
     FqneCycle,
@@ -52,17 +54,24 @@ def test_trace_last_matches_sequential_projection_oracle():
 
 
 def test_three_evaluation_routes_agree_bitwise():
+    # Below ROW_BLOCK hyperplanes every route is the row loop.
     rng = np.random.default_rng(32)
+    rows_rng = np.random.default_rng(47)
+    short = ROW_BLOCK - 1
     for mode in ("cyclic", "symmetric"):
         sets, _ = random_affine_instance(rng, d=6, n=4)
-        op = CycleOperator(tuple(sets), mode=mode)
-        x = 3.0 * rng.standard_normal(6)
-        plain = op.apply(x)
-        traced = op.apply_with_trace(x)
-        fast, inc = op.apply_with_increments(x)
-        assert np.array_equal(plain, traced.last)
-        assert np.array_equal(plain, fast)
-        assert np.allclose(inc, traced.increments_sq, rtol=1e-12, atol=1e-300)
+        a = rows_rng.standard_normal((short, 2 * short))
+        b = rows_rng.standard_normal(short)
+        for op, x in (
+            (CycleOperator(tuple(sets), mode=mode), 3.0 * rng.standard_normal(6)),
+            (CycleOperator.from_rows(a, b, mode), rows_rng.standard_normal(2 * short)),
+        ):
+            plain = op.apply(x)
+            traced = op.apply_with_trace(x)
+            fast, inc = op.apply_with_increments(x)
+            assert np.array_equal(plain, traced.last)
+            assert np.array_equal(plain, fast)
+            assert np.allclose(inc, traced.increments_sq, rtol=1e-12, atol=1e-300)
 
 
 def test_fixed_input_keeps_all_stages_equal():
@@ -109,6 +118,58 @@ def test_translation_reduction_to_linear_cycle():
         assert np.linalg.norm(op.apply(x) - (op0.apply(x - p) + p)) <= 1e-10 * (
             1.0 + np.linalg.norm(x)
         )
+
+
+@pytest.mark.parametrize("n", [64, 65, 128, 129, 300])
+@pytest.mark.parametrize("mode", ["cyclic", "symmetric"])
+def test_row_kernel_matches_row_loop(n, mode):
+    # The row loop (apply_with_trace) is the reference; the kernel sums in
+    # another order, so the bounds are float64 roundoff fixed beforehand.
+    rng = np.random.default_rng([46, n])
+    for d in (n // 2, 2 * n):
+        a = rng.standard_normal((n, d))
+        b = rng.standard_normal(n)
+        op = CycleOperator.from_rows(a, b, mode)
+        assert op._kernel is not None
+        x = 5.0 * rng.standard_normal(d)
+        ref = op.apply_with_trace(x)
+        ref_inc = ref.increments_sq
+        y, inc = op.apply_with_increments(x)
+        assert inc.shape == ref_inc.shape == (op.stage_count,)
+        assert np.linalg.norm(op.apply(x) - ref.last) <= 1e-12 * (1.0 + np.linalg.norm(x))
+        assert np.linalg.norm(y - ref.last) <= 1e-12 * (1.0 + np.linalg.norm(x))
+        assert np.max(np.abs(inc - ref_inc)) <= 1e-12 * np.sum(ref_inc)
+
+
+def test_row_kernel_selection_and_shared_rows():
+    rng = np.random.default_rng(48)
+    a = rng.standard_normal((ROW_BLOCK, 10))
+    b = rng.standard_normal(ROW_BLOCK)
+    op = CycleOperator.from_rows(a, b)
+    assert np.shares_memory(op._kernel.a, a)
+    assert all(np.shares_memory(s.normal, a) for s in op.sets)
+    assert [s.offset for s in op.sets] == list(b)
+    # The plain constructor stacks its own copy of the rows.
+    stacked = CycleOperator(op.sets)
+    assert not np.shares_memory(stacked._kernel.a, a)
+    x = rng.standard_normal(10)
+    assert np.array_equal(stacked.apply(x), op.apply(x))
+    # Short cycles and cycles with any Span stay on the row loop.
+    assert CycleOperator(op.sets[1:])._kernel is None
+    point = Span(np.zeros(10), np.zeros((10, 0)))
+    assert CycleOperator(op.sets + (point,))._kernel is None
+    with pytest.raises(ValueError):
+        CycleOperator.from_rows(a, b[:-1])
+
+
+def test_row_kernel_checks_dimension():
+    rng = np.random.default_rng(49)
+    op = CycleOperator.from_rows(rng.standard_normal((ROW_BLOCK, 10)), np.zeros(ROW_BLOCK))
+    for bad in (np.zeros(9), np.zeros(11)):
+        with pytest.raises(DimensionMismatchError):
+            op.apply(bad)
+        with pytest.raises(DimensionMismatchError):
+            op.apply_with_increments(bad)
 
 
 def test_cycle_rejects_halfspace_and_mixed_dims():
