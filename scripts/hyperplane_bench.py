@@ -13,7 +13,7 @@ operator (13 MB at m=50000).
 import argparse
 import sys
 
-from cycproj.cli import hyperplane_bench, write_bench_csv
+from cycproj.cli import BENCH_HEADER, hyperplane_bench, write_table
 
 
 def main(argv=None) -> int:
@@ -35,6 +35,8 @@ def main(argv=None) -> int:
     rows = []
     for text in args.sizes.split(","):
         m = int(text)
+        if m < 2:
+            parser.error(f"size {m} gives n = m // 2 = 0 rows")
         rows.extend(
             hyperplane_bench(
                 m, m // 2, args.reps, args.eps, args.seed, methods, args.max_iter
@@ -42,10 +44,10 @@ def main(argv=None) -> int:
         )
 
     if args.out is None or args.out == "-":
-        write_bench_csv(rows, sys.stdout)
+        write_table(BENCH_HEADER, rows, sys.stdout)
     else:
         with open(args.out, "w", newline="") as fh:
-            write_bench_csv(rows, fh)
+            write_table(BENCH_HEADER, rows, fh)
     return 0 if all(row.all_converged for row in rows) else 2
 
 

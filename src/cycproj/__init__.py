@@ -1,6 +1,6 @@
 """Cyclic projections onto intersections of affine sets.
 
-Exact projectors and reflectors, cyclic / symmetric / Douglas-Rachford
+Exact projectors, cyclic / symmetric / Douglas-Rachford
 composites, line-search step rules that accelerate the plain iteration,
 closed-form solution oracles and contraction-rate analysis, plus a
 benchmark CLI (`python -m cycproj`).
@@ -14,20 +14,13 @@ from .geometry import (
     Hyperplane,
     InfeasibleProblemError,
     Span,
-    project,
-    project_halfspace,
-    reflect,
     translate_check,
 )
 from .operators import (
     CycleOperator,
     DouglasRachfordOperator,
-    FqneCycle,
-    ProjectionOperator,
     StageTrace,
-    apply_with_trace,
     fixset_dr,
-    shadow_project,
 )
 from .acceleration import (
     IterationTrace,
@@ -35,11 +28,8 @@ from .acceleration import (
     SolveConfig,
     StepRule,
     solve,
-    step_dr,
     step_gk_affine,
-    step_gk_linear,
     step_oracle,
-    step_symmetric,
 )
 from .analysis import (
     RateReport,
@@ -56,32 +46,22 @@ __all__ = [
     "CycleOperator",
     "DimensionMismatchError",
     "DouglasRachfordOperator",
-    "FqneCycle",
     "HalfSpace",
     "Hyperplane",
     "InfeasibleProblemError",
     "IterationTrace",
     "NumericalFailureError",
-    "ProjectionOperator",
     "RateReport",
     "SolveConfig",
     "Span",
     "StageTrace",
     "StepRule",
-    "apply_with_trace",
     "exact_projection",
     "fixset_dr",
     "friederichs_cosine",
-    "project",
-    "project_halfspace",
     "rate_constant",
-    "reflect",
-    "shadow_project",
     "solve",
-    "step_dr",
     "step_gk_affine",
-    "step_gk_linear",
     "step_oracle",
-    "step_symmetric",
     "translate_check",
 ]

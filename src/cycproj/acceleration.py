@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import as_vector
-from .operators import CycleOperator, DouglasRachfordOperator, StageTrace
+from .geometry import HalfSpace, as_vector
+from .operators import CycleOperator, DouglasRachfordOperator
 
 __all__ = [
     "NumericalFailureError",
@@ -23,21 +23,20 @@ __all__ = [
     "SolveConfig",
     "IterationTrace",
     "solve",
-    "step_gk_linear",
     "step_gk_affine",
-    "step_symmetric",
-    "step_dr",
     "step_oracle",
 ]
 
 # Relative fixed-point threshold: below it the step degenerates to t = 1.
-FIX_TOL_DEFAULT = 1e-14
+FIX_TOL = 1e-14
 # A set counts as containing the origin (linear) within this residual.
 LINEAR_ORIGIN_TOL = 1e-10
 # An oracle witness must be fixed by the operator within this relative bound.
 ORACLE_WITNESS_TOL = 1e-8
 
 _VARIANTS = ("unit", "gk-linear", "gk-affine", "symmetric", "symmetric-dr", "oracle")
+# Rules that drive a CycleOperator of affine sets, and the mode each needs.
+_CYCLE_RULES = {"gk-linear": "cyclic", "gk-affine": "cyclic", "symmetric": "symmetric"}
 
 
 class NumericalFailureError(RuntimeError):
@@ -87,7 +86,7 @@ class StepRule:
 
     @classmethod
     def oracle(cls, m) -> "StepRule":
-        return cls("oracle", as_vector(m))
+        return cls("oracle", m)
 
 
 @dataclass
@@ -103,7 +102,6 @@ class SolveConfig:
     eps: float = 1e-9
     max_iter: int = 100_000
     solution: Optional[np.ndarray] = None
-    fix_tol: float = FIX_TOL_DEFAULT
     store_every: int = 1
 
     def __post_init__(self):
@@ -111,8 +109,6 @@ class SolveConfig:
             raise ValueError("eps must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.fix_tol < 0.0:
-            raise ValueError("fix_tol must be nonnegative")
         if self.store_every < 0:
             raise ValueError("store_every must be nonnegative")
         if self.solution is not None:
@@ -141,100 +137,72 @@ class IterationTrace:
     initial_dist: Optional[float] = None
 
 
-def _reject_fixed(gap: float, ref: float, fix_tol: float) -> None:
-    if gap <= fix_tol * (1.0 + ref):
+def _is_fixed(gap: float, x: np.ndarray) -> bool:
+    """Whether a displacement of length gap leaves x fixed within FIX_TOL."""
+    return gap <= FIX_TOL * (1.0 + float(np.linalg.norm(x)))
+
+
+def _trace_step(gap_sq: float, inc: np.ndarray) -> float:
+    # 1/2 + sum of squared stage increments / (2 |Qx - x|^2).
+    return 0.5 + float(inc.sum()) / (2.0 * gap_sq)
+
+
+def _witness_step(d: np.ndarray, x: np.ndarray, m, gap_sq: float) -> float:
+    # <x - Qx, x - m> / |x - Qx|^2 with d = Qx - x.
+    return -float(d @ (x - m)) / gap_sq
+
+
+def _displacement(x, qx) -> tuple[np.ndarray, np.ndarray, float]:
+    x = as_vector(x)
+    d = as_vector(qx) - x
+    gap_sq = float(d @ d)
+    if _is_fixed(math.sqrt(gap_sq), x):
         raise ValueError(
             "point is fixed within tolerance; the caller must take t = 1"
         )
+    return x, d, gap_sq
 
 
-def step_gk_linear(x, qx, fix_tol: float = FIX_TOL_DEFAULT) -> float:
-    """Exact line-search step toward the origin: <x - Qx, x> / ||x - Qx||^2.
+def step_gk_affine(x, qx, inc) -> float:
+    """Line-search step from one application Qx of a projection cycle.
 
-    Valid when every set in the cycle passes through the origin.
+    Equals 1/2 plus the sum of the squared stage increments `inc` over
+    twice |x - Qx|^2, which minimises the distance to the intersection
+    projection along the update direction without knowing any
+    intersection point.  A symmetric cycle over n sets is the plain cycle
+    over its 2n-1 stages, and a symmetric Douglas-Rachford step has two
+    stages, its two averaged double reflections; the formula is the same.
     """
-    x = as_vector(x)
-    d = x - as_vector(qx)
-    den = float(d @ d)
-    _reject_fixed(math.sqrt(den), float(np.linalg.norm(x)), fix_tol)
-    return float(d @ x) / den
+    _, _, gap_sq = _displacement(x, qx)
+    return _trace_step(gap_sq, np.asarray(inc, dtype=float))
 
 
-def step_gk_affine(trace: StageTrace, fix_tol: float = FIX_TOL_DEFAULT) -> float:
-    """Line-search step from one traced application of a projection cycle.
-
-    Equals 1/2 plus the sum of squared stage increments over twice the
-    squared total displacement, which minimises the distance to the
-    intersection projection along the update direction without knowing
-    any intersection point.
-    """
-    den = trace.total_sq
-    ref = float(np.linalg.norm(trace.stages[0]))
-    _reject_fixed(math.sqrt(den), ref, fix_tol)
-    return 0.5 + float(np.sum(trace.increments_sq)) / (2.0 * den)
-
-
-def step_symmetric(trace: StageTrace, fix_tol: float = FIX_TOL_DEFAULT) -> float:
-    """Line-search step for the symmetric cycle, from its 2n-stage trace.
-
-    The symmetric composite over n sets is the plain cycle over the 2n-1
-    sets (forward then backward), so the step is the same stage-increment
-    formula evaluated on that longer trace.
-    """
-    if len(trace.stages) % 2 != 0:
-        raise ValueError(
-            f"symmetric trace must have an even stage count, got {len(trace.stages)}"
-        )
-    return step_gk_affine(trace, fix_tol)
-
-
-def step_dr(z, half, full, fix_tol: float = FIX_TOL_DEFAULT) -> float:
-    """Line-search step for the symmetric Douglas-Rachford composite.
-
-    Takes the current point, the image under the forward half, and the
-    image under the full composite.
-    """
-    z = as_vector(z)
-    half = as_vector(half)
-    full = as_vector(full)
-    g = z - full
-    den = float(g @ g)
-    _reject_fixed(math.sqrt(den), float(np.linalg.norm(z)), fix_tol)
-    a = z - half
-    b = half - full
-    return 0.5 + (float(a @ a) + float(b @ b)) / (2.0 * den)
-
-
-def step_oracle(x, qx, m, fix_tol: float = FIX_TOL_DEFAULT) -> float:
+def step_oracle(x, qx, m) -> float:
     """Line-search step toward a known solution-set point m.
 
     For affine cycles this matches the trace-based step exactly; for
     general firmly quasi-nonexpansive cycles it is bounded below by it.
+    At m = 0 it is the step toward the origin that cycles of linear
+    subspaces take.
     """
-    x = as_vector(x)
-    d = x - as_vector(qx)
-    den = float(d @ d)
-    _reject_fixed(math.sqrt(den), float(np.linalg.norm(x)), fix_tol)
-    return float(d @ (x - as_vector(m))) / den
+    x, d, gap_sq = _displacement(x, qx)
+    return _witness_step(d, x, as_vector(m), gap_sq)
 
 
 def _validate_rule(op, rule: StepRule) -> None:
     v = rule.variant
-    if v == "gk-affine":
-        if not (isinstance(op, CycleOperator) and op.mode == "cyclic"):
-            raise ValueError("gk-affine rule drives a cyclic CycleOperator")
-    elif v == "gk-linear":
-        if not (isinstance(op, CycleOperator) and op.mode == "cyclic"):
-            raise ValueError("gk-linear rule drives a cyclic CycleOperator")
-        zero = np.zeros(op.dim)
-        for s in op.sets:
-            if s.residual(zero) > LINEAR_ORIGIN_TOL:
-                raise ValueError(
-                    "gk-linear rule needs every set to pass through the origin"
-                )
-    elif v == "symmetric":
-        if not (isinstance(op, CycleOperator) and op.mode == "symmetric"):
-            raise ValueError("symmetric rule drives a symmetric CycleOperator")
+    if v in _CYCLE_RULES:
+        mode = _CYCLE_RULES[v]
+        if not (
+            isinstance(op, CycleOperator)
+            and op.mode == mode
+            and not any(isinstance(s, HalfSpace) for s in op.sets)
+        ):
+            raise ValueError(f"{v} rule drives a {mode} CycleOperator of affine sets")
+        if v == "gk-linear":
+            origin = np.zeros(op.dim)
+            if any(s.residual(origin) > LINEAR_ORIGIN_TOL for s in op.sets):
+                raise ValueError("gk-linear rule needs every set through the origin")
     elif v == "symmetric-dr":
         if not (isinstance(op, DouglasRachfordOperator) and op.symmetric):
             raise ValueError(
@@ -264,6 +232,8 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig) -> IterationTrace:
 
     variant = rule.variant
     needs_increments = variant in ("gk-affine", "symmetric", "symmetric-dr")
+    # gk-linear is the witness step toward the origin; x - 0.0 is x bitwise.
+    m = rule.m if variant == "oracle" else 0.0
     sol = cfg.solution
     x = op.apply(x0) if variant in ("symmetric", "symmetric-dr") else x0.copy()
 
@@ -284,7 +254,6 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig) -> IterationTrace:
             y, inc = op.apply_with_increments(x)
         else:
             y = op.apply(x)
-            inc = None
 
         change = None
         if variant == "unit":
@@ -294,17 +263,14 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig) -> IterationTrace:
             d = y - x
             gap_sq = float(d @ d)
             gap = math.sqrt(gap_sq)
-            if gap <= cfg.fix_tol * (1.0 + float(np.linalg.norm(x))):
+            if _is_fixed(gap, x):
                 t = 1.0
                 x_new = y
-            elif variant == "gk-linear":
-                t = -float(d @ x) / gap_sq
-                x_new = x + t * d
-            elif variant == "oracle":
-                t = -float(d @ (x - rule.m)) / gap_sq
-                x_new = x + t * d
             else:
-                t = 0.5 + float(inc.sum()) / (2.0 * gap_sq)
+                if needs_increments:
+                    t = _trace_step(gap_sq, inc)
+                else:
+                    t = _witness_step(d, x, m, gap_sq)
                 x_new = x + t * d
             change = abs(t) * gap
             if not math.isfinite(t):
@@ -336,7 +302,7 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig) -> IterationTrace:
                 _record(trace, last_row)
                 last_row = None
 
-        stalled = not done and _same_point(x_new, x)
+        stalled = not done and np.array_equal(x_new, x)
         x = x_new
         if done or stalled:
             trace.converged = done
@@ -362,6 +328,3 @@ def _record(trace: IterationTrace, row) -> None:
         trace.dists.append(dist)
         trace.factors.append(factor)
 
-
-def _same_point(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a, b)

@@ -14,8 +14,14 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import null_space
 
-from .geometry import AffineSet, HalfSpace, InfeasibleProblemError, as_vector
-from .operators import RANK_CUTOFF, _stacked_constraints
+from .geometry import (
+    ORTHO_REPAIR_TOL,
+    AffineSet,
+    HalfSpace,
+    InfeasibleProblemError,
+    as_vector,
+)
+from .operators import FEAS_TOL, RANK_CUTOFF, _nullspace, _stacked_constraints
 
 __all__ = [
     "RateReport",
@@ -23,10 +29,6 @@ __all__ = [
     "friederichs_cosine",
     "rate_constant",
 ]
-
-# Residual bound (scaled by 1 + ||b||) above which stacked constraints are
-# declared inconsistent.
-FEASIBILITY_TOL = 1e-6
 
 
 def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
@@ -51,7 +53,7 @@ def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
     r = a @ x0 - b
     y, *_ = np.linalg.lstsq(a, r, rcond=RANK_CUTOFF)
     p = x0 - y
-    if np.linalg.norm(a @ p - b) > FEASIBILITY_TOL * (1.0 + np.linalg.norm(b)):
+    if np.linalg.norm(a @ p - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
         raise InfeasibleProblemError("the sets have no common point")
     return p
 
@@ -67,7 +69,7 @@ def _as_basis(u) -> np.ndarray:
         b = np.column_stack(vecs)
     if b.shape[1] > 0:
         drift = float(np.max(np.abs(b.T @ b - np.eye(b.shape[1]))))
-        if drift > 1e-8:
+        if drift > ORTHO_REPAIR_TOL:
             raise ValueError(f"basis is not orthonormal (drift {drift:.3e})")
     return b
 
@@ -136,6 +138,9 @@ def rate_constant(sets: Sequence[AffineSet]) -> RateReport:
     With c_i the cosine between the i-th parallel subspace and the
     intersection of the later ones, the distance to the solution shrinks
     by at least sqrt(1 - prod(1 - c_i^2)) per pass.
+
+    A Hyperplane's parallel basis is a dense d x d Householder matrix, so
+    each hyperplane costs O(d^2) memory here.
     """
     sets = list(sets)
     if len(sets) < 2:
@@ -143,25 +148,12 @@ def rate_constant(sets: Sequence[AffineSet]) -> RateReport:
     for s in sets:
         if isinstance(s, HalfSpace):
             raise TypeError("rate analysis requires affine sets")
-    dim = sets[0].dim
-    bases = [s.parallel_basis() for s in sets]
-    # Tail intersections in constraint form: stack the complement rows of
-    # every later parallel subspace, then convert back to a spanning basis.
+    # Each tail intersection is the null space of the later sets' stacked
+    # constraint rows.
     cosines = []
     for i in range(len(sets) - 1):
-        rows = []
-        for basis in bases[i + 1:]:
-            if basis.shape[1] == 0:
-                rows.append(np.eye(dim))
-            else:
-                q, _ = np.linalg.qr(basis, mode="complete")
-                rows.append(q[:, basis.shape[1]:].T)
-        stacked = np.vstack(rows) if rows else np.zeros((0, dim))
-        if stacked.shape[0] == 0:
-            tail = np.eye(dim)
-        else:
-            tail = null_space(stacked, rcond=RANK_CUTOFF)
-        cosines.append(friederichs_cosine(bases[i], tail))
+        tail = _nullspace(_stacked_constraints(sets[i + 1:])[0])
+        cosines.append(friederichs_cosine(sets[i].parallel_basis(), tail))
     prod = 1.0
     for c in cosines:
         prod *= 1.0 - c * c

@@ -28,12 +28,14 @@ from .operators import CycleOperator, DouglasRachfordOperator
 __all__ = [
     "ProblemFileError",
     "UsageError",
-    "ExperimentRow",
+    "SweepRow",
+    "BenchRow",
     "parse_problem_file",
     "build_operator",
     "angle_instance",
     "angle_sweep",
     "hyperplane_bench",
+    "write_table",
     "main",
     "run",
 ]
@@ -74,21 +76,33 @@ class UsageError(ValueError):
     """Bad flag combination or value."""
 
 
+# Row types list their fields in CSV column order; the header names them.
 @dataclass
-class ExperimentRow:
-    """One summary line of an experiment table."""
+class SweepRow:
+    """One angle-sweep line: one method at one angle."""
 
+    theta: float
     method: str
+    mean_iterations: float
+    std_iterations: float
     reps: int
     seed: int
-    theta: Optional[float] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-    mean_iterations: float = 0.0
-    std_iterations: Optional[float] = None
-    mean_residual: Optional[float] = None
-    mean_time_s: Optional[float] = None
-    all_converged: bool = True
+    all_converged: bool
+
+
+@dataclass
+class BenchRow:
+    """One hyperplane-bench line: one method on one system."""
+
+    m: int
+    n: int
+    method: str
+    mean_iterations: float
+    mean_residual: float
+    mean_time_s: float
+    reps: int
+    seed: int
+    all_converged: bool
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -198,14 +212,8 @@ def build_operator(sets: Sequence, method: str):
     return op, rule
 
 
-def _constraint_row_count(s) -> int:
-    if isinstance(s, Hyperplane):
-        return 1
-    return s.dim - s.rank
-
-
 def _solution_estimate(x0, sets) -> Optional[np.ndarray]:
-    rows = sum(_constraint_row_count(s) for s in sets)
+    rows = sum(1 if isinstance(s, Hyperplane) else s.dim - s.rank for s in sets)
     if rows * x0.shape[0] > ORACLE_SIZE_LIMIT:
         return None
     return exact_projection(x0, sets)
@@ -247,17 +255,12 @@ def cmd_solve(args) -> int:
     )
     trace = solve(op, rule, x0, cfg)
 
+    # A Douglas-Rachford iterate answers through its shadow on the first set.
+    shadow = sets[0].project if method in ("dr", "accel-dr") else (lambda z: z)
+    final = shadow(trace.final)
     dists = None
-    final = trace.final
-    if method in ("dr", "accel-dr"):
-        final = sets[0].project(trace.final)
-        if target is not None:
-            dists = [
-                float(np.linalg.norm(sets[0].project(z) - target))
-                for z in trace.iterates
-            ]
-    elif target is not None:
-        dists = [float(np.linalg.norm(z - target)) for z in trace.iterates]
+    if target is not None:
+        dists = [float(np.linalg.norm(shadow(z) - target)) for z in trace.iterates]
 
     with _open_out(args.out) as fh:
         _write_trace(fh, trace, dists)
@@ -295,7 +298,7 @@ def angle_sweep(
     eps: float,
     seed: int,
     max_iter: int,
-) -> list[ExperimentRow]:
+) -> list[SweepRow]:
     """Iteration counts of cp and gk-affine across a grid of angles.
 
     Each angle gets its own random reference point; each replication gets
@@ -323,13 +326,13 @@ def angle_sweep(
         for name in SWEEP_METHODS:
             arr = np.array(counts[name], dtype=float)
             rows.append(
-                ExperimentRow(
-                    method=name,
-                    reps=reps,
-                    seed=seed,
+                SweepRow(
                     theta=float(theta),
+                    method=name,
                     mean_iterations=float(arr.mean()),
                     std_iterations=float(arr.std()),
+                    reps=reps,
+                    seed=seed,
                     all_converged=ok,
                 )
             )
@@ -344,7 +347,7 @@ def hyperplane_bench(
     seed: int,
     methods: Sequence[str],
     max_iter: int,
-) -> list[ExperimentRow]:
+) -> list[BenchRow]:
     """Iterations, residuals and timings on one random hyperplane system.
 
     The system A x = b has standard normal entries and is consistent by
@@ -382,57 +385,32 @@ def hyperplane_bench(
     rows = []
     for name in methods:
         rows.append(
-            ExperimentRow(
-                method=name,
-                reps=reps,
-                seed=seed,
+            BenchRow(
                 m=m,
                 n=n,
+                method=name,
                 mean_iterations=float(np.mean(results[name]["iters"])),
                 mean_residual=float(np.mean(results[name]["res"])),
                 mean_time_s=float(np.mean(results[name]["time"])),
+                reps=reps,
+                seed=seed,
                 all_converged=ok,
             )
         )
     return rows
 
 
-def write_sweep_csv(rows: Sequence[ExperimentRow], fh) -> None:
-    fh.write(SWEEP_HEADER + "\n")
+def write_table(header: str, rows: Sequence, fh) -> None:
+    """Write a CSV table: each column is the row attribute the header names."""
+    columns = header.split(",")
+    fh.write(header + "\n")
     for row in rows:
-        fh.write(
-            ",".join(
-                [
-                    _fmt(row.theta, TABLE_DIGITS),
-                    row.method,
-                    _fmt(row.mean_iterations, TABLE_DIGITS),
-                    _fmt(row.std_iterations, TABLE_DIGITS),
-                    str(row.reps),
-                    str(row.seed),
-                ]
-            )
-            + "\n"
-        )
-
-
-def write_bench_csv(rows: Sequence[ExperimentRow], fh) -> None:
-    fh.write(BENCH_HEADER + "\n")
-    for row in rows:
-        fh.write(
-            ",".join(
-                [
-                    str(row.m),
-                    str(row.n),
-                    row.method,
-                    _fmt(row.mean_iterations, TABLE_DIGITS),
-                    _fmt(row.mean_residual, TABLE_DIGITS),
-                    _fmt(row.mean_time_s, TABLE_DIGITS),
-                    str(row.reps),
-                    str(row.seed),
-                ]
-            )
-            + "\n"
-        )
+        cells = []
+        for name in columns:
+            value = getattr(row, name)
+            is_float = isinstance(value, float)
+            cells.append(_fmt(value, TABLE_DIGITS) if is_float else str(value))
+        fh.write(",".join(cells) + "\n")
 
 
 def _theta_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -448,12 +426,14 @@ def cmd_angle_sweep(args) -> int:
     thetas = _theta_grid(args.theta_min, args.theta_max, args.theta_step)
     rows = angle_sweep(thetas, args.reps, args.eps, args.seed, args.max_iter)
     with _open_out(args.out) as fh:
-        write_sweep_csv(rows, fh)
+        write_table(SWEEP_HEADER, rows, fh)
     return 0 if all(r.all_converged for r in rows) else 2
 
 
 def cmd_hyperplane_bench(args) -> int:
     n = args.n if args.n is not None else args.m // 2
+    if n < 1:
+        raise UsageError(f"--m {args.m} gives n = m // 2 = 0 rows; pass --n")
     methods = [name.strip() for name in args.methods.split(",") if name.strip()]
     if not methods:
         raise UsageError("no benchmark methods given")
@@ -461,7 +441,7 @@ def cmd_hyperplane_bench(args) -> int:
         args.m, n, args.reps, args.eps, args.seed, methods, args.max_iter
     )
     with _open_out(args.out) as fh:
-        write_bench_csv(rows, fh)
+        write_table(BENCH_HEADER, rows, fh)
     return 0 if all(r.all_converged for r in rows) else 2
 
 
@@ -551,10 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UsageError as exc:
+    except (ProblemFileError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleProblemError as exc:

@@ -1,4 +1,4 @@
-"""Affine sets in R^d with exact projectors and reflectors.
+"""Affine sets and half-spaces in R^d with exact projectors.
 
 Three set flavours are supported: hyperplanes in normal/offset form,
 affine spans given by an anchor point plus an orthonormal basis of the
@@ -23,9 +23,6 @@ __all__ = [
     "AffineSet",
     "AnySet",
     "as_vector",
-    "project",
-    "reflect",
-    "project_halfspace",
     "translate_check",
 ]
 
@@ -73,6 +70,20 @@ def _complement_of_unit(unit: np.ndarray) -> np.ndarray:
     return h[:, 1:]
 
 
+def _set_normal_form(s, what: str) -> None:
+    """Validate and store a frozen set's normal, offset and |normal|^2."""
+    normal = as_vector(s.normal)
+    offset = float(s.offset)
+    if not np.all(np.isfinite(normal)) or not np.isfinite(offset):
+        raise ValueError(f"{what} data must be finite")
+    nsq = float(normal @ normal)
+    if nsq == 0.0:
+        raise ValueError(f"{what} normal must be nonzero")
+    object.__setattr__(s, "normal", normal)
+    object.__setattr__(s, "offset", offset)
+    object.__setattr__(s, "_nsq", nsq)
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """The set {x : <normal, x> = offset}, normal nonzero."""
@@ -81,16 +92,7 @@ class Hyperplane:
     offset: float
 
     def __post_init__(self):
-        normal = as_vector(self.normal)
-        offset = float(self.offset)
-        if not np.all(np.isfinite(normal)) or not np.isfinite(offset):
-            raise ValueError("hyperplane data must be finite")
-        nsq = float(normal @ normal)
-        if nsq == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "_nsq", nsq)
+        _set_normal_form(self, "hyperplane")
 
     @property
     def dim(self) -> int:
@@ -211,16 +213,7 @@ class HalfSpace:
     offset: float
 
     def __post_init__(self):
-        normal = as_vector(self.normal)
-        offset = float(self.offset)
-        if not np.all(np.isfinite(normal)) or not np.isfinite(offset):
-            raise ValueError("half-space data must be finite")
-        nsq = float(normal @ normal)
-        if nsq == 0.0:
-            raise ValueError("half-space normal must be nonzero")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "_nsq", nsq)
+        _set_normal_form(self, "half-space")
 
     @property
     def dim(self) -> int:
@@ -259,29 +252,10 @@ AffineSet = Union[Hyperplane, Span]
 AnySet = Union[Hyperplane, Span, HalfSpace]
 
 
-def project(x: np.ndarray, s: AnySet) -> np.ndarray:
-    """Nearest point of s to x."""
-    return s.project(x)
-
-
-def reflect(x: np.ndarray, s: AffineSet) -> np.ndarray:
-    """Reflection of x through an affine set: 2 P(x) - x."""
-    if isinstance(s, HalfSpace):
-        raise TypeError("reflection requires an affine set, not a half-space")
-    return 2.0 * s.project(x) - x
-
-
-def project_halfspace(x: np.ndarray, h: HalfSpace) -> np.ndarray:
-    """Nearest point of a half-space: identity inside, boundary foot outside."""
-    if not isinstance(h, HalfSpace):
-        raise TypeError(f"expected a HalfSpace, got {type(h).__name__}")
-    return h.project(x)
-
-
 def translate_check(x: np.ndarray, s: AnySet, y: np.ndarray) -> np.ndarray:
     """Project via the translation identity P_S(x) = P_{S-y}(x-y) + y.
 
-    Distinct arithmetic path from project(); kept as a verification route.
+    Distinct arithmetic path from s.project(x); kept as a verification route.
     """
     _check_dim(s.dim, x)
     _check_dim(s.dim, y)

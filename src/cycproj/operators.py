@@ -1,10 +1,10 @@
 """Composite fixed-point operators built from projectors.
 
-Cyclic and symmetric projection cascades, Douglas-Rachford compositions
-and generic firmly quasi-nonexpansive cycles.  Every operator exposes
-three evaluation routes: plain apply, apply with a full per-stage trace,
-and apply with accumulated squared stage increments (the cheap form the
-accelerated solvers consume).
+Cyclic and symmetric projection cascades over affine sets or half-spaces,
+and Douglas-Rachford compositions of affine pairs.  Every operator
+exposes three evaluation routes: plain apply, apply with a full
+per-stage trace, and apply with accumulated squared stage increments
+(the cheap form the accelerated solvers consume).
 
 `apply_with_trace` always projects set by set; that row loop is the
 reference path.  A `CycleOperator` whose sets are all hyperplanes, at
@@ -29,25 +29,18 @@ from scipy.linalg.blas import dtrsv
 
 from .geometry import (
     AffineSet,
-    AnySet,
     HalfSpace,
     Hyperplane,
     InfeasibleProblemError,
     Span,
     _check_dim,
-    as_vector,
-    reflect,
 )
 
 __all__ = [
     "StageTrace",
     "CycleOperator",
     "DouglasRachfordOperator",
-    "ProjectionOperator",
-    "FqneCycle",
-    "apply_with_trace",
     "fixset_dr",
-    "shadow_project",
 ]
 
 # Singular values below RANK_CUTOFF * sigma_max count as zero in null-space
@@ -144,11 +137,13 @@ class _RowKernel:
 
 @dataclass(frozen=True)
 class CycleOperator:
-    """Sequential projections onto affine sets.
+    """Sequential projections onto affine sets or half-spaces.
 
     mode "cyclic" applies the projectors once in order; mode "symmetric"
     goes forward through all sets and then back through all but the last,
-    which makes the composite self-adjoint in the linear case.
+    which makes the composite self-adjoint in the linear case.  A cycle
+    with a half-space is only firmly quasi-nonexpansive; the line-search
+    step rules other than `oracle` need every set to be affine.
 
     When every set is a Hyperplane and there are at least ROW_BLOCK of
     them, `apply` and `apply_with_increments` run the stacked row kernel
@@ -169,11 +164,6 @@ class CycleOperator:
             raise ValueError(f"unknown mode {self.mode!r}")
         dim = sets[0].dim
         for s in sets:
-            if isinstance(s, HalfSpace):
-                raise TypeError(
-                    "CycleOperator is for affine sets; wrap half-space "
-                    "projectors in an FqneCycle instead"
-                )
             if s.dim != dim:
                 raise ValueError("all sets must share one ambient dimension")
         if self.mode == "symmetric":
@@ -239,8 +229,9 @@ class CycleOperator:
 
 
 def _dr_half(x: np.ndarray, a: AffineSet, b: AffineSet) -> np.ndarray:
-    # Averaged double reflection: 0.5 (x + R_b R_a x).
-    return 0.5 * (x + reflect(reflect(x, a), b))
+    # Averaged double reflection: 0.5 (x + R_b R_a x), R_s = 2 P_s - I.
+    r = 2.0 * a.project(x) - x
+    return 0.5 * (x + (2.0 * b.project(r) - r))
 
 
 @dataclass(frozen=True)
@@ -256,7 +247,6 @@ class DouglasRachfordOperator:
     first: AffineSet
     second: AffineSet
     symmetric: bool = False
-    fixed_point: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if isinstance(self.first, HalfSpace) or isinstance(self.second, HalfSpace):
@@ -289,95 +279,9 @@ class DouglasRachfordOperator:
         return trace.last, trace.increments_sq
 
 
-@dataclass(frozen=True)
-class ProjectionOperator:
-    """A single projector viewed as a firmly quasi-nonexpansive map."""
-
-    target: AnySet
-    fixed_point: Optional[np.ndarray] = None
-
-    @property
-    def dim(self) -> int:
-        return self.target.dim
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.target.project(x)
-
-    def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        return self.target.project_with_gap(x)
-
-
-@dataclass(frozen=True)
-class FqneCycle:
-    """Composition of arbitrary quasi-nonexpansive operators, in order.
-
-    Operators only need an apply(x) method and a dim attribute; a
-    project_with_gap method is used when present to avoid re-deriving
-    stage increments.
-    """
-
-    operators: tuple
-
-    def __post_init__(self):
-        ops = tuple(self.operators)
-        if not ops:
-            raise ValueError("cycle needs at least one operator")
-        dim = ops[0].dim
-        for op in ops:
-            if op.dim != dim:
-                raise ValueError("all operators must share one ambient dimension")
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].dim
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.operators)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        for op in self.operators:
-            x = op.apply(x)
-        return x
-
-    def apply_with_trace(self, x: np.ndarray) -> StageTrace:
-        stages = [x]
-        for op in self.operators:
-            x = op.apply(x)
-            stages.append(x)
-        return StageTrace(stages)
-
-    def apply_with_increments(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inc = np.empty(len(self.operators))
-        for i, op in enumerate(self.operators):
-            if hasattr(op, "project_with_gap"):
-                x, inc[i] = op.project_with_gap(x)
-            else:
-                y = op.apply(x)
-                g = x - y
-                inc[i] = float(g @ g)
-                x = y
-        return x, inc
-
-
-def apply_with_trace(op, x: np.ndarray) -> StageTrace:
-    """Trace any composite, or a plain sequence of operators, at x."""
-    if isinstance(op, (list, tuple)):
-        op = FqneCycle(tuple(op))
-    return op.apply_with_trace(as_vector(x))
-
-
 def _stacked_constraints(sets: Sequence[AffineSet]) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    vals = []
-    dim = sets[0].dim
-    for s in sets:
-        a, b = s.constraint_rows()
-        rows.append(a)
-        vals.append(b)
-    if not rows:
-        return np.zeros((0, dim)), np.zeros(0)
+    """Rows A and values b of a nonempty sequence of sets, stacked."""
+    rows, vals = zip(*(s.constraint_rows() for s in sets))
     return np.vstack(rows), np.concatenate(vals)
 
 
@@ -393,6 +297,9 @@ def fixset_dr(c1: AffineSet, c2: AffineSet) -> Span:
     The fixed points form the affine set (C1 n C2) + N1 n N2 where N1, N2
     are the orthogonal complements of the parallel subspaces.  Raises
     InfeasibleProblemError when the pair has empty intersection.
+
+    A Hyperplane's parallel basis is a dense d x d Householder matrix, so
+    a hyperplane pair costs O(d^2) memory here.
     """
     if isinstance(c1, HalfSpace) or isinstance(c2, HalfSpace):
         raise TypeError("fixed-set computation requires affine sets")
@@ -416,9 +323,3 @@ def fixset_dr(c1: AffineSet, c2: AffineSet) -> Span:
     basis = np.hstack([direction, ortho])
     return Span(anchor, basis)
 
-
-def shadow_project(z: np.ndarray, c1: AffineSet, c2: AffineSet) -> np.ndarray:
-    """Shadow of a Douglas-Rachford iterate: its projection onto the first set."""
-    if c1.dim != c2.dim:
-        raise ValueError("both sets must share one ambient dimension")
-    return c1.project(z)

@@ -13,23 +13,16 @@ from cycproj.acceleration import (
     SolveConfig,
     StepRule,
     solve,
-    step_dr,
     step_gk_affine,
-    step_gk_linear,
     step_oracle,
-    step_symmetric,
 )
 from cycproj.analysis import exact_projection
-from cycproj.geometry import Hyperplane
+from cycproj.geometry import HalfSpace, Hyperplane
 from cycproj.operators import (
     ROW_BLOCK,
     CycleOperator,
     DouglasRachfordOperator,
-    FqneCycle,
-    ProjectionOperator,
-    StageTrace,
     fixset_dr,
-    shadow_project,
 )
 
 from conftest import (
@@ -67,8 +60,8 @@ def test_solve_config_validation():
         SolveConfig(max_iter=-1)
     with pytest.raises(ValueError):
         SolveConfig(store_every=-1)
-    with pytest.raises(ValueError):
-        SolveConfig(fix_tol=-1e-3)
+    with pytest.raises(TypeError):
+        SolveConfig(fix_tol=1e-3)  # the fixed-point tolerance is not a setting
 
 
 def test_frozen_linear_step_example():
@@ -76,10 +69,11 @@ def test_frozen_linear_step_example():
     x = np.array([1.0, 2.0])
     qx = DIAGONAL.project(XAXIS.project(x))
     assert np.array_equal(qx, [0.5, 0.5])
-    t = step_gk_linear(x, qx)
+    t = step_oracle(x, qx, np.zeros(2))
     assert t == 3.5 / 2.5
-    # same value from the oracle rule with the known solution (the origin)
-    assert step_oracle(x, qx, np.zeros(2)) == t
+    # the traced step of the same cycle agrees
+    tr = CycleOperator((XAXIS, DIAGONAL)).apply_with_trace(x)
+    assert step_gk_affine(x, qx, tr.increments_sq) == t
     # and from a literal dense scan of ||x + s(qx - x)|| at 1e-6 resolution
     ss = np.arange(0.0, 2.0, 1e-6)
     pts = x[None, :] + ss[:, None] * (qx - x)[None, :]
@@ -92,7 +86,7 @@ def test_frozen_affine_step_example():
     x = np.array([2.0, 1.0])
     tr = op.apply_with_trace(x)
     assert np.array_equal(tr.last, [1.0, 1.0])
-    assert step_gk_affine(tr) == 2.0
+    assert step_gk_affine(x, tr.last, tr.increments_sq) == 2.0
     assert step_oracle(x, tr.last, np.zeros(2)) == 2.0
 
 
@@ -106,7 +100,7 @@ def test_affine_step_equals_oracle_step():
         if tr.total_sq < 1e-20:
             continue
         m = lstsq_projection(x, sets)
-        t_trace = step_gk_affine(tr)
+        t_trace = step_gk_affine(x, tr.last, tr.increments_sq)
         t_known = step_oracle(x, tr.last, m)
         assert abs(t_trace - t_known) <= 1e-10 * max(1.0, abs(t_known))
 
@@ -119,7 +113,7 @@ def test_step_is_exact_line_search():
         x = 4.0 * rng.standard_normal(op.dim)
         tr = op.apply_with_trace(x)
         target = lstsq_projection(x, sets)
-        t = step_gk_affine(tr)
+        t = step_gk_affine(x, tr.last, tr.increments_sq)
         assert abs(t - scan_line_min(x, tr.last - x, target)) <= 1e-8 * max(
             1.0, abs(t)
         )
@@ -147,8 +141,47 @@ def test_solve_steps_match_traced_step_on_row_kernel():
         assert tr.ks == list(range(1, tr.iterations + 1))
         for x, t in zip([tr.start] + tr.iterates[:-1], tr.steps):
             ref = op.apply_with_trace(x)
-            err = abs(t - step_gk_affine(ref)) * math.sqrt(ref.total_sq)
+            t_ref = step_gk_affine(x, ref.last, ref.increments_sq)
+            err = abs(t - t_ref) * math.sqrt(ref.total_sq)
             assert err <= 1e-12 * np.linalg.norm(x)
+
+
+def _steps_taken(trace):
+    """(iterate, step) pairs of a solve run stored with store_every=1."""
+    return list(zip([trace.start] + trace.iterates[:-1], trace.steps))
+
+
+def test_solve_steps_are_the_step_functions_bitwise():
+    # solve evaluates exactly the arithmetic of step_gk_affine and
+    # step_oracle, on the same apply_with_increments / apply results; at a
+    # fixed point both functions refuse and solve takes t = 1.
+    rng = np.random.default_rng(60)
+    sets, _ = random_affine_instance(rng, d=6, n=3)
+    pair, _ = random_affine_instance(rng, d=5, n=2)
+    linear, _ = random_affine_instance(rng, d=5, n=3, linear=True)
+    x0 = 4.0 * rng.standard_normal(6)
+    m = exact_projection(x0, sets)
+    dr = DouglasRachfordOperator(pair[0], pair[1], symmetric=True)
+    runs = [
+        (CycleOperator(tuple(sets)), StepRule.gk_affine(), None),
+        (CycleOperator(tuple(sets), mode="symmetric"), StepRule.symmetric(), None),
+        (dr, StepRule.symmetric_dr(), None),
+        (CycleOperator(tuple(sets)), StepRule.oracle(m), m),
+        (CycleOperator(tuple(linear)), StepRule.gk_linear(), np.zeros(5)),
+    ]
+    for op, rule, witness in runs:
+        start = x0 if op.dim == 6 else 4.0 * rng.standard_normal(op.dim)
+        tr = solve(op, rule, start, SolveConfig(eps=1e-10, max_iter=500))
+        assert tr.converged and tr.steps
+        for x, t in _steps_taken(tr):
+            try:
+                if witness is None:
+                    want = step_gk_affine(x, *op.apply_with_increments(x))
+                else:
+                    want = step_oracle(x, op.apply(x), witness)
+            except ValueError:
+                want = 1.0
+            assert t == want
 
 
 class _RowLoop:
@@ -189,15 +222,9 @@ def test_symmetric_step_equals_affine_step_on_unfolded_cycle():
     sym = CycleOperator(tuple(sets), mode="symmetric")
     unfolded = CycleOperator(tuple(list(sets) + list(reversed(sets[:-1]))))
     x = 4.0 * rng.standard_normal(6)
-    t_sym = step_symmetric(sym.apply_with_trace(x))
-    t_unf = step_gk_affine(unfolded.apply_with_trace(x))
+    t_sym = step_gk_affine(x, *sym.apply_with_increments(x))
+    t_unf = step_gk_affine(x, *unfolded.apply_with_increments(x))
     assert t_sym == t_unf
-
-
-def test_symmetric_step_rejects_odd_stage_counts():
-    stages = [np.zeros(2), np.ones(2), 2.0 * np.ones(2)]
-    with pytest.raises(ValueError):
-        step_symmetric(StageTrace(stages))
 
 
 def test_dr_step_matches_line_search():
@@ -207,11 +234,10 @@ def test_dr_step_matches_line_search():
         dr = DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
         fix = fixset_dr(sets[0], sets[1])
         z = 4.0 * rng.standard_normal(5)
-        half = dr.half_step(z)
-        full = dr.apply(z)
+        full, inc = dr.apply_with_increments(z)
         if np.linalg.norm(z - full) < 1e-8:
             continue
-        t = step_dr(z, half, full)
+        t = step_gk_affine(z, full, inc)
         target = sample_point(rng, fix) if fix.rank else fix.anchor
         assert abs(t - scan_line_min(z, full - z, target)) <= 1e-8 * max(1.0, abs(t))
 
@@ -219,13 +245,9 @@ def test_dr_step_matches_line_search():
 def test_steps_reject_fixed_points():
     x = np.array([1.0, 1.0])
     with pytest.raises(ValueError):
-        step_gk_linear(x, x)
-    with pytest.raises(ValueError):
         step_oracle(x, x, np.zeros(2))
     with pytest.raises(ValueError):
-        step_gk_affine(StageTrace([x, x.copy()]))
-    with pytest.raises(ValueError):
-        step_dr(x, x.copy(), x.copy())
+        step_gk_affine(x, x.copy(), np.zeros(1))
 
 
 def test_fqne_cycle_step_bounds_and_descent():
@@ -233,12 +255,12 @@ def test_fqne_cycle_step_bounds_and_descent():
     for _ in range(20):
         n = int(rng.integers(2, 5))
         halfspaces, m = strictly_feasible_halfspaces(rng, 5, n)
-        cycle = FqneCycle(tuple(ProjectionOperator(h) for h in halfspaces))
+        cycle = CycleOperator(tuple(halfspaces))
         x = violating_point(rng, halfspaces)
         tr = cycle.apply_with_trace(x)
         if tr.total_sq < 1e-16:
             continue
-        t = step_gk_affine(tr)
+        t = step_gk_affine(x, tr.last, tr.increments_sq)
         # trace step never falls below 1/2 + 1/(2n)
         assert t >= 0.5 + 0.5 / n - 1e-12
         # the witness-based step dominates it for quasi-nonexpansive stages
@@ -264,7 +286,7 @@ def test_trace_step_at_least_half_property(seed):
     tr = op.apply_with_trace(x)
     if tr.total_sq < 1e-16:
         return
-    assert step_gk_affine(tr) >= 0.5
+    assert step_gk_affine(x, tr.last, tr.increments_sq) >= 0.5
 
 
 def test_solve_zero_iterations_when_started_at_solution():
@@ -355,6 +377,15 @@ def test_solve_rule_operator_pairing_errors():
         solve(offset, StepRule.gk_linear(), x0, SolveConfig())
     with pytest.raises(ValueError):
         solve(cyc, StepRule.unit(), np.zeros(3), SolveConfig())
+    # half-space cycles take only the unit and oracle rules
+    halves = (HalfSpace(XAXIS.normal, 0.0), HalfSpace(DIAGONAL.normal, 0.0))
+    for mode, rule in (
+        ("cyclic", StepRule.gk_affine()),
+        ("cyclic", StepRule.gk_linear()),
+        ("symmetric", StepRule.symmetric()),
+    ):
+        with pytest.raises(ValueError):
+            solve(CycleOperator(halves, mode=mode), rule, x0, SolveConfig())
 
 
 def test_solve_limits_match_stacked_least_squares():
@@ -383,7 +414,7 @@ def test_solve_dr_shadow_limit():
     # the iteration starts from the once-advanced point
     assert np.array_equal(tr.start, dr.apply(x0))
     want = exact_projection(x0, sets)
-    got = shadow_project(tr.final, sets[0], sets[1])
+    got = sets[0].project(tr.final)
     assert np.linalg.norm(got - want) <= 1e-6 * (1.0 + np.linalg.norm(x0))
 
 
@@ -435,7 +466,7 @@ def test_store_every_thinning_and_final_state():
 def test_halfspace_cycle_reaches_feasibility():
     rng = np.random.default_rng(58)
     halfspaces, m = strictly_feasible_halfspaces(rng, 4, 3)
-    cycle = FqneCycle(tuple(ProjectionOperator(h) for h in halfspaces))
+    cycle = CycleOperator(tuple(halfspaces))
     x0 = violating_point(rng, halfspaces)
     for rule in (StepRule.unit(), StepRule.oracle(m)):
         tr = solve(cycle, rule, x0, SolveConfig(eps=1e-10))

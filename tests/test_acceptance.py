@@ -14,7 +14,6 @@ from cycproj.acceleration import (
     StepRule,
     solve,
     step_gk_affine,
-    step_gk_linear,
     step_oracle,
 )
 from cycproj.analysis import exact_projection, rate_constant
@@ -23,8 +22,6 @@ from cycproj.geometry import HalfSpace, Hyperplane, Span, translate_check
 from cycproj.operators import (
     CycleOperator,
     DouglasRachfordOperator,
-    FqneCycle,
-    ProjectionOperator,
     fixset_dr,
 )
 
@@ -66,7 +63,7 @@ def test_criterion_01_trace_step_matches_witness_step():
         tr = op.apply_with_trace(x)
         if tr.total_sq < 1e-18:
             continue
-        t = step_gk_affine(tr)
+        t = step_gk_affine(x, tr.last, tr.increments_sq)
         t_wit = step_oracle(x, tr.last, lstsq_projection(x, sets))
         ok = ok and abs(t - t_wit) <= 1e-8 * (1.0 + abs(t))
     elapsed = time.perf_counter() - start
@@ -88,7 +85,8 @@ def test_criterion_02_linear_reduction():
         tr = op.apply_with_trace(x)
         if tr.total_sq < 1e-18:
             continue
-        diff = abs(step_gk_affine(tr) - step_gk_linear(x, tr.last))
+        t_linear = step_oracle(x, tr.last, np.zeros(op.dim))
+        diff = abs(step_gk_affine(x, tr.last, tr.increments_sq) - t_linear)
         ok = ok and diff <= 1e-10
     check(2, "trace step reduces to the origin-anchored step on linear sets", ok)
 
@@ -107,7 +105,7 @@ def test_criterion_03_line_search_optimality():
             gap = math.sqrt(tr.total_sq)
             if gap <= 1e-13 * (1.0 + np.linalg.norm(x)):
                 break
-            t = step_gk_affine(tr)
+            t = step_gk_affine(x, tr.last, tr.increments_sq)
             step_dir = tr.last - x
             chosen = np.linalg.norm(x + t * step_dir - pm)
             for s in grid:
@@ -218,11 +216,11 @@ def test_criterion_07_halfspace_step_lower_bound():
         n = int(rng.integers(2, 5))
         halfspaces, m = strictly_feasible_halfspaces(rng, 5, n)
         x = violating_point(rng, halfspaces)
-        cycle = FqneCycle(tuple(ProjectionOperator(h) for h in halfspaces))
+        cycle = CycleOperator(tuple(halfspaces))
         tr = cycle.apply_with_trace(x)
         if tr.total_sq < 1e-18:
             continue
-        bound = step_gk_affine(tr)
+        bound = step_gk_affine(x, tr.last, tr.increments_sq)
         t_scan = scan_line_min(x, tr.last - x, m)
         ok = ok and t_scan >= bound - 1e-10
 
@@ -231,7 +229,7 @@ def test_criterion_07_halfspace_step_lower_bound():
         tr2 = op.apply_with_trace(x)
         if tr2.total_sq < 1e-18:
             continue
-        bound2 = step_gk_affine(tr2)
+        bound2 = step_gk_affine(x, tr2.last, tr2.increments_sq)
         target = exact_projection(x, boundaries)
         t_scan2 = scan_line_min(x, tr2.last - x, target)
         ok = ok and abs(t_scan2 - bound2) <= 1e-9

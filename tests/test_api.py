@@ -1,0 +1,18 @@
+"""Every exported name resolves."""
+
+import importlib
+
+import pytest
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["cycproj", "cycproj.geometry", "cycproj.operators", "cycproj.acceleration",
+     "cycproj.analysis", "cycproj.cli"],
+)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+

@@ -352,6 +352,10 @@ def test_hyperplane_bench_default_n_and_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["hyperplane-bench", "--m", "-3"]) == 1
     capsys.readouterr()
+    # m = 1 gives n = m // 2 = 0 rows: a usage error, not a traceback
+    assert main(["hyperplane-bench", "--m", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def run_child(args, tmp_path):
