@@ -34,9 +34,7 @@ LINEAR_ORIGIN_TOL = 1e-10
 # An oracle witness must be fixed by the operator within this relative bound.
 ORACLE_WITNESS_TOL = 1e-8
 
-_VARIANTS = ("unit", "gk-linear", "gk-affine", "symmetric", "symmetric-dr", "oracle")
-# Rules that drive a CycleOperator of affine sets, and the mode each needs.
-_CYCLE_RULES = {"gk-linear": "cyclic", "gk-affine": "cyclic", "symmetric": "symmetric"}
+_VARIANTS = ("unit", "gk-linear", "gk-affine", "oracle")
 
 
 class NumericalFailureError(RuntimeError):
@@ -75,14 +73,6 @@ class StepRule:
     @classmethod
     def gk_affine(cls) -> "StepRule":
         return cls("gk-affine")
-
-    @classmethod
-    def symmetric(cls) -> "StepRule":
-        return cls("symmetric")
-
-    @classmethod
-    def symmetric_dr(cls) -> "StepRule":
-        return cls("symmetric-dr")
 
     @classmethod
     def oracle(cls, m) -> "StepRule":
@@ -191,23 +181,24 @@ def step_oracle(x, qx, m) -> float:
 
 def _validate_rule(op, rule: StepRule) -> None:
     v = rule.variant
-    if v in _CYCLE_RULES:
-        mode = _CYCLE_RULES[v]
-        if not (
-            isinstance(op, CycleOperator)
-            and op.mode == mode
-            and not any(isinstance(s, HalfSpace) for s in op.sets)
-        ):
-            raise ValueError(f"{v} rule drives a {mode} CycleOperator of affine sets")
-        if v == "gk-linear":
-            origin = np.zeros(op.dim)
-            if any(s.residual(origin) > LINEAR_ORIGIN_TOL for s in op.sets):
-                raise ValueError("gk-linear rule needs every set through the origin")
-    elif v == "symmetric-dr":
-        if not (isinstance(op, DouglasRachfordOperator) and op.symmetric):
+    affine_cycle = isinstance(op, CycleOperator) and not any(
+        isinstance(s, HalfSpace) for s in op.sets
+    )
+    if v == "gk-affine":
+        symmetric_dr = isinstance(op, DouglasRachfordOperator) and op.symmetric
+        if not (affine_cycle or symmetric_dr):
             raise ValueError(
-                "symmetric-dr rule drives a symmetric DouglasRachfordOperator"
+                "gk-affine rule drives a CycleOperator of affine sets"
+                " or a symmetric DouglasRachfordOperator"
             )
+    elif v == "gk-linear":
+        if not (affine_cycle and not op.symmetric):
+            raise ValueError(
+                "gk-linear rule drives a cyclic CycleOperator of affine sets"
+            )
+        origin = np.zeros(op.dim)
+        if any(s.residual(origin) > LINEAR_ORIGIN_TOL for s in op.sets):
+            raise ValueError("gk-linear rule needs every set through the origin")
     elif v == "oracle":
         m = rule.m
         drift = float(np.linalg.norm(op.apply(m) - m))
@@ -220,22 +211,24 @@ def _validate_rule(op, rule: StepRule) -> None:
 def solve(op, rule: StepRule, x0, cfg: SolveConfig) -> IterationTrace:
     """Run the relaxed iteration of op from x0 under the given step rule.
 
-    Symmetric rules first advance the start point by one application of
-    the composite, per their derivation; reported iterations count
-    updates after that.  Stops on the configured criterion, on reaching
-    an exact fixed point, or at max_iter (flagged non-converged).
+    On a symmetric composite (cycle or Douglas-Rachford pair) the
+    gk-affine rule first advances the start point by one application of
+    the composite, per its derivation; reported iterations count updates
+    after that.  Stops on the configured criterion, on reaching an exact
+    fixed point, or at max_iter (flagged non-converged).
     """
     x0 = as_vector(x0)
-    if x0.shape[0] != op.dim:
-        raise ValueError(f"operator lives in R^{op.dim}, x0 in R^{x0.shape[0]}")
+    sol = cfg.solution
+    for name, v in (("x0", x0), ("solution", sol)):
+        if v is not None and v.shape[0] != op.dim:
+            raise ValueError(f"operator lives in R^{op.dim}, {name} in R^{v.shape[0]}")
     _validate_rule(op, rule)
 
     variant = rule.variant
-    needs_increments = variant in ("gk-affine", "symmetric", "symmetric-dr")
+    needs_increments = variant == "gk-affine"
     # gk-linear is the witness step toward the origin; x - 0.0 is x bitwise.
     m = rule.m if variant == "oracle" else 0.0
-    sol = cfg.solution
-    x = op.apply(x0) if variant in ("symmetric", "symmetric-dr") else x0.copy()
+    x = op.apply(x0) if needs_increments and op.symmetric else x0.copy()
 
     trace = IterationTrace(start=x, final=x, iterations=0, converged=False)
     if sol is not None:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .acceleration import SolveConfig, StepRule, solve
+from .acceleration import NumericalFailureError, SolveConfig, StepRule, solve
 from .analysis import exact_projection
 from .geometry import Hyperplane, InfeasibleProblemError, Span
 from .operators import CycleOperator, DouglasRachfordOperator
@@ -45,15 +45,20 @@ BENCH_HEADER = "m,n,method,mean_iterations,mean_residual,mean_time_s,reps,seed"
 TRACE_DIGITS = 17
 TABLE_DIGITS = 6
 
-SOLVE_METHODS = ("cp", "gk-affine", "sym-cp", "accel-sym-cp", "dr", "accel-dr")
-# Composite mode and step rule behind each hyperplane-bench method.
-BENCH_PLANS = {
-    "cp": ("cyclic", StepRule.unit),
-    "accel-cp": ("cyclic", StepRule.gk_affine),
-    "sym-cp": ("symmetric", StepRule.unit),
-    "accel-sym-cp": ("symmetric", StepRule.symmetric),
+# Each method: the composite it iterates ("cyclic" or "symmetric" cycle,
+# or "dr", the symmetric Douglas-Rachford pair) and whether the gk-affine
+# line search accelerates it.
+PLANS = {
+    "cp": ("cyclic", False),
+    "gk-affine": ("cyclic", True),
+    "accel-cp": ("cyclic", True),
+    "sym-cp": ("symmetric", False),
+    "accel-sym-cp": ("symmetric", True),
+    "dr": ("dr", False),
+    "accel-dr": ("dr", True),
 }
-BENCH_METHODS = tuple(BENCH_PLANS)
+SOLVE_METHODS = ("cp", "gk-affine", "sym-cp", "accel-sym-cp", "dr", "accel-dr")
+BENCH_METHODS = ("cp", "accel-cp", "sym-cp", "accel-sym-cp")
 SWEEP_METHODS = ("cp", "gk-affine")
 
 # x0 is declared already feasible when every constraint residual sits below
@@ -174,42 +179,56 @@ def parse_problem_file(path: str) -> tuple[np.ndarray, list]:
         raise ProblemFileError(lineno, "second line must be 'x0 <d reals>'")
     x0 = floats(lineno, tokens[1:], dim, "x0")
 
+    # Each constraint kind: how many numbers it takes, and the set they make.
+    kinds = {
+        "hyperplane": (dim + 1, lambda v: Hyperplane(v[:dim], float(v[dim]))),
+        "point": (dim, lambda v: Span(v, np.zeros((dim, 0)))),
+    }
     sets = []
     for lineno, line in lines[2:]:
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "hyperplane":
-            vals = floats(lineno, tokens[1:], dim + 1, "hyperplane")
-            if float(vals[:dim] @ vals[:dim]) == 0.0:
-                raise ProblemFileError(lineno, "hyperplane normal is zero")
-            sets.append(Hyperplane(vals[:dim], float(vals[dim])))
-        elif kind == "point":
-            vals = floats(lineno, tokens[1:], dim, "point")
-            sets.append(Span(vals, np.zeros((dim, 0))))
-        else:
+        kind, *tokens = line.split()
+        if kind not in kinds:
             raise ProblemFileError(lineno, f"unknown constraint kind {kind!r}")
+        count, make = kinds[kind]
+        vals = floats(lineno, tokens, count, kind)
+        try:
+            sets.append(make(vals))
+        except ValueError as exc:
+            raise ProblemFileError(lineno, str(exc)) from exc
     if not sets:
         raise ProblemFileError(lines[-1][0], "no constraint sets given")
     return x0, sets
 
 
+def _plans(methods: Sequence[str], build) -> dict:
+    """Each method's (operator, step rule); build(composite) makes an operator.
+
+    Methods that iterate the same composite share one operator.
+    """
+    ops = {}
+    plans = {}
+    for name in methods:
+        composite, accelerated = PLANS[name]
+        if composite not in ops:
+            ops[composite] = build(composite)
+        rule = StepRule.gk_affine() if accelerated else StepRule.unit()
+        plans[name] = (ops[composite], rule)
+    return plans
+
+
 def build_operator(sets: Sequence, method: str):
-    """Operator and step rule for a solve-method name."""
-    if method not in SOLVE_METHODS:
+    """Operator and step rule for a method name."""
+    if method not in PLANS:
         raise UsageError(f"unknown method {method!r}")
-    if method in ("dr", "accel-dr"):
+
+    def build(composite):
+        if composite != "dr":
+            return CycleOperator(tuple(sets), mode=composite)
         if len(sets) != 2:
             raise UsageError("dr methods need exactly two constraint sets")
-        op = DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
-        rule = StepRule.symmetric_dr() if method == "accel-dr" else StepRule.unit()
-        return op, rule
-    if method in ("sym-cp", "accel-sym-cp"):
-        op = CycleOperator(tuple(sets), mode="symmetric")
-        rule = StepRule.symmetric() if method == "accel-sym-cp" else StepRule.unit()
-        return op, rule
-    op = CycleOperator(tuple(sets), mode="cyclic")
-    rule = StepRule.gk_affine() if method == "gk-affine" else StepRule.unit()
-    return op, rule
+        return DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
+
+    return _plans([method], build)[method]
 
 
 def _solution_estimate(x0, sets) -> Optional[np.ndarray]:
@@ -240,7 +259,9 @@ def cmd_solve(args) -> int:
     method = args.method
 
     worst = max(s.residual(x0) for s in sets)
-    if worst <= FEASIBLE_X0_TOL * (1.0 + float(np.linalg.norm(x0))):
+    bound = FEASIBLE_X0_TOL * (1.0 + float(np.linalg.norm(x0)))
+    # An overflowing start reads inf on both sides; it is not feasible.
+    if np.isfinite(bound) and worst <= bound:
         with _open_out(args.out) as fh:
             fh.write("k,t_k,successive_change\n")
         _summary(method, True, 0, x0)
@@ -256,7 +277,7 @@ def cmd_solve(args) -> int:
     trace = solve(op, rule, x0, cfg)
 
     # A Douglas-Rachford iterate answers through its shadow on the first set.
-    shadow = sets[0].project if method in ("dr", "accel-dr") else (lambda z: z)
+    shadow = sets[0].project if PLANS[method][0] == "dr" else (lambda z: z)
     final = shadow(trace.final)
     dists = None
     if target is not None:
@@ -309,20 +330,20 @@ def angle_sweep(
     for j, theta in enumerate(thetas):
         inst_rng = np.random.default_rng([seed, j])
         xstar = inst_rng.standard_normal(2)
-        op = CycleOperator(tuple(angle_instance(theta, xstar)), mode="cyclic")
+        sets = tuple(angle_instance(theta, xstar))
+        plans = _plans(SWEEP_METHODS, lambda mode: CycleOperator(sets, mode))
         counts = {name: [] for name in SWEEP_METHODS}
-        ok = True
+        ok = dict.fromkeys(SWEEP_METHODS, True)
         for r in range(reps):
             rep_rng = np.random.default_rng([seed, j, r])
             x0 = _unit_start(rep_rng, 2)
-            for name in SWEEP_METHODS:
-                rule = StepRule.gk_affine() if name == "gk-affine" else StepRule.unit()
+            for name, (op, rule) in plans.items():
                 cfg = SolveConfig(
                     eps=eps, max_iter=max_iter, solution=xstar, store_every=0
                 )
                 tr = solve(op, rule, x0, cfg)
                 counts[name].append(tr.iterations)
-                ok = ok and tr.converged
+                ok[name] = ok[name] and tr.converged
         for name in SWEEP_METHODS:
             arr = np.array(counts[name], dtype=float)
             rows.append(
@@ -333,7 +354,7 @@ def angle_sweep(
                     std_iterations=float(arr.std()),
                     reps=reps,
                     seed=seed,
-                    all_converged=ok,
+                    all_converged=ok[name],
                 )
             )
     return rows
@@ -363,24 +384,23 @@ def hyperplane_bench(
     a = inst_rng.standard_normal((n, m))
     xstar = inst_rng.standard_normal(m)
     b = a @ xstar
-    modes = {BENCH_PLANS[name][0] for name in methods}
-    ops = {mode: CycleOperator.from_rows(a, b, mode) for mode in modes}
+    plans = _plans(methods, lambda mode: CycleOperator.from_rows(a, b, mode))
 
     results = {name: {"iters": [], "res": [], "time": []} for name in methods}
-    ok = True
+    ok = dict.fromkeys(methods, True)
     for r in range(reps):
         rep_rng = np.random.default_rng([seed, m, n, r])
         x0 = _unit_start(rep_rng, m)
         for name in methods:
-            mode, rule = BENCH_PLANS[name]
+            op, rule = plans[name]
             cfg = SolveConfig(eps=eps, max_iter=max_iter, store_every=0)
             t0 = time.perf_counter()
-            tr = solve(ops[mode], rule(), x0, cfg)
+            tr = solve(op, rule, x0, cfg)
             elapsed = time.perf_counter() - t0
             results[name]["iters"].append(tr.iterations)
             results[name]["res"].append(float(np.linalg.norm(a @ tr.final - b)))
             results[name]["time"].append(elapsed)
-            ok = ok and tr.converged
+            ok[name] = ok[name] and tr.converged
 
     rows = []
     for name in methods:
@@ -394,7 +414,7 @@ def hyperplane_bench(
                 mean_time_s=float(np.mean(results[name]["time"])),
                 reps=reps,
                 seed=seed,
-                all_converged=ok,
+                all_converged=ok[name],
             )
         )
     return rows
@@ -431,15 +451,18 @@ def cmd_angle_sweep(args) -> int:
 
 
 def cmd_hyperplane_bench(args) -> int:
-    n = args.n if args.n is not None else args.m // 2
-    if n < 1:
-        raise UsageError(f"--m {args.m} gives n = m // 2 = 0 rows; pass --n")
+    sizes = [(m, args.n if args.n is not None else m // 2) for m in args.m]
+    for m, n in sizes:
+        if n < 1:
+            raise UsageError(f"--m {m} gives n = m // 2 = 0 rows; pass --n")
     methods = [name.strip() for name in args.methods.split(",") if name.strip()]
     if not methods:
         raise UsageError("no benchmark methods given")
-    rows = hyperplane_bench(
-        args.m, n, args.reps, args.eps, args.seed, methods, args.max_iter
-    )
+    rows = []
+    for m, n in sizes:
+        rows += hyperplane_bench(
+            m, n, args.reps, args.eps, args.seed, methods, args.max_iter
+        )
     with _open_out(args.out) as fh:
         write_table(BENCH_HEADER, rows, fh)
     return 0 if all(r.all_converged for r in rows) else 2
@@ -456,6 +479,11 @@ def _positive(kind, what):
         return value
 
     return convert
+
+
+def _positive_list(kind, what):
+    one = _positive(kind, what)
+    return lambda text: [one(item) for item in text.split(",")]
 
 
 def _nonnegative_int(text):
@@ -477,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, eps_default):
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--seed", type=_nonnegative_int, default=0)
         p.add_argument("--eps", type=_positive(float, "eps"), default=eps_default)
         p.add_argument(
             "--max-iter", type=_positive(int, "max-iter"), default=100_000
@@ -508,7 +535,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "hyperplane-bench", help="time methods on a random hyperplane system"
     )
-    p_bench.add_argument("--m", type=_positive(int, "m"), default=500)
+    p_bench.add_argument(
+        "--m",
+        type=_positive_list(int, "m"),
+        default="500",
+        help="comma-separated ambient dimensions, one system each",
+    )
     p_bench.add_argument(
         "--n", type=_positive(int, "n"), default=None, help="defaults to m // 2"
     )
@@ -518,6 +550,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p_bench, eps_default=1e-6)
     p_bench.set_defaults(func=cmd_hyperplane_bench)
+    for p in (p_sweep, p_bench):
+        p.add_argument("--seed", type=_nonnegative_int, default=0)
     return parser
 
 
@@ -531,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except (ProblemFileError, UsageError) as exc:
+    except (ProblemFileError, UsageError, NumericalFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleProblemError as exc:

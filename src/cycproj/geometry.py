@@ -77,8 +77,8 @@ def _set_normal_form(s, what: str) -> None:
     if not np.all(np.isfinite(normal)) or not np.isfinite(offset):
         raise ValueError(f"{what} data must be finite")
     nsq = float(normal @ normal)
-    if nsq == 0.0:
-        raise ValueError(f"{what} normal must be nonzero")
+    if not 0.0 < nsq < np.inf:
+        raise ValueError(f"{what} normal must be nonzero, with a finite squared norm")
     object.__setattr__(s, "normal", normal)
     object.__setattr__(s, "offset", offset)
     object.__setattr__(s, "_nsq", nsq)

@@ -166,7 +166,7 @@ class CycleOperator:
         for s in sets:
             if s.dim != dim:
                 raise ValueError("all sets must share one ambient dimension")
-        if self.mode == "symmetric":
+        if self.symmetric:
             stage_sets = sets + tuple(reversed(sets[:-1]))
         else:
             stage_sets = sets
@@ -201,13 +201,18 @@ class CycleOperator:
         return self.sets[0].dim
 
     @property
+    def symmetric(self) -> bool:
+        """Whether the cycle runs forward and then back (mode "symmetric")."""
+        return self.mode == "symmetric"
+
+    @property
     def stage_count(self) -> int:
         """Number of projections in one application."""
         return len(self._stage_sets)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self._kernel is not None:
-            return self._kernel.sweep(x, self.mode == "symmetric")[0]
+            return self._kernel.sweep(x, self.symmetric)[0]
         for s in self._stage_sets:
             x = s.project(x)
         return x
@@ -221,7 +226,7 @@ class CycleOperator:
 
     def apply_with_increments(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._kernel is not None:
-            return self._kernel.sweep(x, self.mode == "symmetric")
+            return self._kernel.sweep(x, self.symmetric)
         inc = np.empty(len(self._stage_sets))
         for i, s in enumerate(self._stage_sets):
             x, inc[i] = s.project_with_gap(x)

@@ -154,7 +154,7 @@ def test_criterion_05_symmetric_dominance():
         op = CycleOperator(tuple(sets), mode="symmetric")
         accel = solve(
             op,
-            StepRule.symmetric(),
+            StepRule.gk_affine(),
             x0,
             SolveConfig(eps=1e-300, max_iter=100, solution=xstar),
         )
@@ -181,7 +181,7 @@ def test_criterion_06_symmetric_dr_dominance_and_shadows():
         pm = exact_projection(x0, sets)
         accel = solve(
             op,
-            StepRule.symmetric_dr(),
+            StepRule.gk_affine(),
             x0,
             SolveConfig(eps=1e-9, max_iter=2000, solution=pfix),
         )

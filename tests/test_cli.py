@@ -21,7 +21,9 @@ from cycproj.cli import (
     ProblemFileError,
     UsageError,
     angle_instance,
+    angle_sweep,
     build_operator,
+    hyperplane_bench,
     main,
     parse_problem_file,
 )
@@ -31,6 +33,7 @@ from cycproj.operators import CycleOperator, DouglasRachfordOperator
 
 SOURCE_ROOT = Path(cycproj.__file__).resolve().parents[1]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 TWO_LINES = """\
@@ -86,6 +89,7 @@ point 0.5 -0.5 0
         ("dim 2\nx0 1 2\nhyperplane 1 0\n", 3),
         ("dim 2\nx0 1 2\nhyperplane 0 0 1\n", 3),
         ("dim 2\nx0 1 2\nhyperplane 1 0 inf\n", 3),
+        ("dim 2\nx0 1 2\nhyperplane 1e200 1e200 0\n", 3),
         ("dim 2\nx0 1 2\nball 1 0 1\n", 3),
         ("dim 2\nx0 1 2\n", 2),
         ("# nothing here\n", 0),
@@ -114,12 +118,12 @@ def test_build_operator_variants():
     op, rule = build_operator(sets, "sym-cp")
     assert op.mode == "symmetric" and rule.variant == "unit"
     _, rule = build_operator(sets, "accel-sym-cp")
-    assert rule.variant == "symmetric"
+    assert rule.variant == "gk-affine"
     op, rule = build_operator(sets, "dr")
     assert isinstance(op, DouglasRachfordOperator) and op.symmetric
     assert rule.variant == "unit"
     _, rule = build_operator(sets, "accel-dr")
-    assert rule.variant == "symmetric-dr"
+    assert rule.variant == "gk-affine"
 
 
 def test_build_operator_errors():
@@ -213,7 +217,20 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert main(["solve", three, "--method", "dr"]) == 1
     assert "two constraint sets" in capsys.readouterr().err
 
+    # |x0|^2 overflows: not a feasible start, but a numerical failure
+    huge = write_problem(
+        tmp_path,
+        "dim 2\nx0 1e308 1e308\nhyperplane 1 1 0\nhyperplane 1 -1 0\n",
+        "huge.txt",
+    )
+    with np.errstate(all="ignore"):
+        assert main(["solve", huge]) == 1
+    err = capsys.readouterr().err
+    assert "error: non-finite value" in err and "converged" not in err
+
     assert main(["solve", problem, "--method", "qr"]) == 1
+    capsys.readouterr()
+    assert main(["solve", problem, "--seed", "1"]) == 1
     capsys.readouterr()
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -356,6 +373,51 @@ def test_hyperplane_bench_default_n_and_errors(tmp_path, capsys):
     assert main(["hyperplane-bench", "--m", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert main(["hyperplane-bench", "--m", "40,1", "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert main(["hyperplane-bench", "--m", "40,0"]) == 1
+    capsys.readouterr()
+
+
+def test_all_converged_is_per_method():
+    # A bound that the accelerated method meets and the plain one does not,
+    # taken from the counts of an unbounded run.
+    rows = hyperplane_bench(40, 20, 1, 1e-6, 3, ["cp", "accel-cp"], 100_000)
+    cp, accel = (int(r.mean_iterations) for r in rows)
+    assert accel < cp
+    rows = hyperplane_bench(40, 20, 1, 1e-6, 3, ["cp", "accel-cp"], accel)
+    assert [r.all_converged for r in rows] == [False, True]
+
+    rows = angle_sweep([0.1], 1, 1e-6, 3, 100_000)
+    cp, accel = (int(r.mean_iterations) for r in rows)
+    assert accel < cp
+    rows = angle_sweep([0.1], 1, 1e-6, 3, accel)
+    assert [r.all_converged for r in rows] == [False, True]
+
+
+def test_experiment_scripts(tmp_path):
+    args = ["--theta-min", "0.5", "--theta-max", "0.6", "--theta-step", "0.1",
+            "--reps", "1", "--out", "sweep.csv"]
+    sweep = [sys.executable, str(SCRIPTS / "angle_sweep.py")]
+    result = run_child(sweep + args, tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER and len(lines) == 1 + 2 * 2
+
+    bench = [sys.executable, str(SCRIPTS / "hyperplane_bench.py")]
+    result = run_child(bench + ["--m", "40,60", "--reps", "1"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == BENCH_HEADER and len(lines) == 1 + 2 * 2
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["40", "20", "cp"], ["40", "20", "accel-cp"],
+        ["60", "30", "cp"], ["60", "30", "accel-cp"],
+    ]
+
+    result = run_child(bench + ["--reps", "0"], tmp_path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "error: argument --reps: reps must be positive" in result.stderr
 
 
 def run_child(args, tmp_path):

@@ -120,6 +120,11 @@ def test_zero_normal_rejected():
         Hyperplane(np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         HalfSpace(np.zeros(2), 0.0)
+    # |normal|^2 overflows to inf: residuals would read 0 and projections stall
+    with np.errstate(over="ignore"):
+        for kind in (Hyperplane, HalfSpace):
+            with pytest.raises(ValueError):
+                kind(np.array([1e200, 1e200]), 0.0)
 
 
 def test_idempotence():
