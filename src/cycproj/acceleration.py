@@ -111,7 +111,9 @@ class IterationTrace:
 
     Row i describes completed update ks[i]: the step taken, the iterate it
     produced, the change it caused, and (when the solution is known) the
-    distance and contraction factor it achieved.
+    distance and contraction factor it achieved.  The rows hold one
+    d-vector each; a solve that streams them through on_row leaves them
+    empty.
     """
 
     start: np.ndarray
@@ -208,7 +210,7 @@ def _validate_rule(op, rule: StepRule) -> None:
             )
 
 
-def solve(op, rule: StepRule, x0, cfg: SolveConfig) -> IterationTrace:
+def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTrace:
     """Run the relaxed iteration of op from x0 under the given step rule.
 
     On a symmetric composite (cycle or Douglas-Rachford pair) the
@@ -216,6 +218,10 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig) -> IterationTrace:
     the composite, per its derivation; reported iterations count updates
     after that.  Stops on the configured criterion, on reaching an exact
     fixed point, or at max_iter (flagged non-converged).
+
+    With on_row given, each stored row goes to on_row(k, t_k, change, x_k)
+    in the order the trace would keep it, and the trace's per-row lists
+    stay empty, so memory does not grow with the iteration count.
     """
     x0 = as_vector(x0)
     sol = cfg.solution
@@ -290,9 +296,9 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig) -> IterationTrace:
             done = dist < cfg.eps
 
         if cfg.store_every > 0:
-            last_row = (k, t, change, x_new, dist, factor)
+            last_row = (k, float(t), float(change), x_new, dist, factor)
             if k % cfg.store_every == 0:
-                _record(trace, last_row)
+                _record(trace, on_row, last_row)
                 last_row = None
 
         stalled = not done and np.array_equal(x_new, x)
@@ -305,19 +311,21 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig) -> IterationTrace:
         trace.converged = False
 
     if last_row is not None:
-        _record(trace, last_row)
+        _record(trace, on_row, last_row)
     trace.iterations = k
     trace.final = x
     return trace
 
 
-def _record(trace: IterationTrace, row) -> None:
+def _record(trace: IterationTrace, on_row, row) -> None:
     k, t, change, x_new, dist, factor = row
+    if on_row is not None:
+        on_row(k, t, change, x_new)
+        return
     trace.ks.append(k)
-    trace.steps.append(float(t))
-    trace.changes.append(float(change) if change is not None else float("nan"))
+    trace.steps.append(t)
+    trace.changes.append(change)
     trace.iterates.append(x_new)
     if trace.dists is not None:
         trace.dists.append(dist)
         trace.factors.append(factor)
-

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
+from .acceleration import NumericalFailureError
 from .geometry import (
     ORTHO_REPAIR_TOL,
     AffineSet,
@@ -21,7 +21,13 @@ from .geometry import (
     InfeasibleProblemError,
     as_vector,
 )
-from .operators import FEAS_TOL, RANK_CUTOFF, _nullspace, _stacked_constraints
+from .operators import (
+    FEAS_TOL,
+    RANK_CUTOFF,
+    _principal,
+    _row_basis,
+    _stacked_constraints,
+)
 
 __all__ = [
     "RateReport",
@@ -37,7 +43,9 @@ def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
     Stacks all sets' constraint rows into A x = b and removes the
     minimum-norm correction A^+ (A x0 - b) from x0, with singular values
     below RANK_CUTOFF * sigma_max treated as zero.  Raises
-    InfeasibleProblemError when the stacked system is inconsistent.
+    InfeasibleProblemError when the stacked system is inconsistent, and
+    NumericalFailureError at iteration 0 when the result is not finite
+    (A x0 overflows).
     """
     x0 = as_vector(x0)
     if not sets:
@@ -53,6 +61,8 @@ def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
     r = a @ x0 - b
     y, *_ = np.linalg.lstsq(a, r, rcond=RANK_CUTOFF)
     p = x0 - y
+    if not np.all(np.isfinite(p)):
+        raise NumericalFailureError(0)
     if np.linalg.norm(a @ p - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
         raise InfeasibleProblemError("the sets have no common point")
     return p
@@ -74,44 +84,21 @@ def _as_basis(u) -> np.ndarray:
     return b
 
 
-def _orth_columns(b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space with an absolute rank cutoff.
-
-    Deflated bases started from unit columns, so singular values below
-    RANK_CUTOFF mean content that was subtracted away, not scale.
-    """
-    if b.shape[1] == 0:
-        return b
-    left, sing, _ = np.linalg.svd(b, full_matrices=False)
-    return left[:, sing > RANK_CUTOFF]
-
-
 def friederichs_cosine(u, v) -> float:
     """Cosine of the Friederichs angle between two linear subspaces.
 
-    Takes orthonormal bases (as (d, r) arrays or vector lists), removes
-    the common intersection from both, and returns the largest remaining
-    cross correlation, clamped to [0, 1].  Subspaces that coincide or
-    contain one another yield 0, matching the supremum over an empty set.
+    Takes orthonormal bases (as (d, r) arrays or vector lists) and returns
+    the largest principal cosine left once the directions the subspaces
+    share (sine at most RANK_CUTOFF) are set aside, clamped to [0, 1].
+    Subspaces that coincide or contain one another yield 0, matching the
+    supremum over an empty set.
     """
     ub = _as_basis(u)
     vb = _as_basis(v)
     if ub.shape[0] != vb.shape[0]:
         raise ValueError("both subspaces must share one ambient dimension")
-    d = ub.shape[0]
-    if ub.shape[1] == 0 or vb.shape[1] == 0:
-        return 0.0
-    # Intersection as the joint null space of both orthogonal projectors.
-    stack = np.vstack([np.eye(d) - ub @ ub.T, np.eye(d) - vb @ vb.T])
-    w = null_space(stack, rcond=RANK_CUTOFF)
-    if w.shape[1] > 0:
-        ub = ub - w @ (w.T @ ub)
-        vb = vb - w @ (w.T @ vb)
-    ub = _orth_columns(ub)
-    vb = _orth_columns(vb)
-    if ub.shape[1] == 0 or vb.shape[1] == 0:
-        return 0.0
-    top = float(np.linalg.norm(ub.T @ vb, ord=2))
+    cos, _, shared = _principal(ub, vb)
+    top = float(cos[~shared].max(initial=0.0))
     return min(max(top, 0.0), 1.0)
 
 
@@ -139,8 +126,12 @@ def rate_constant(sets: Sequence[AffineSet]) -> RateReport:
     intersection of the later ones, the distance to the solution shrinks
     by at least sqrt(1 - prod(1 - c_i^2)) per pass.
 
-    A Hyperplane's parallel basis is a dense d x d Householder matrix, so
-    each hyperplane costs O(d^2) memory here.
+    For closed subspaces c(M, N) = c(M^perp, N^perp) (Deutsch 2001,
+    ch. 9), so each c_i is taken between constraint row spaces: set i's
+    rows and the later sets' stacked rows.  A hyperplane is one row, so
+    memory is O(rows * d); a Span of rank r brings its d - r complement
+    rows, and a point (parallel subspace {0}) all of R^d, which gives
+    c_i = 0.
     """
     sets = list(sets)
     if len(sets) < 2:
@@ -148,12 +139,11 @@ def rate_constant(sets: Sequence[AffineSet]) -> RateReport:
     for s in sets:
         if isinstance(s, HalfSpace):
             raise TypeError("rate analysis requires affine sets")
-    # Each tail intersection is the null space of the later sets' stacked
-    # constraint rows.
     cosines = []
     for i in range(len(sets) - 1):
-        tail = _nullspace(_stacked_constraints(sets[i + 1:])[0])
-        cosines.append(friederichs_cosine(sets[i].parallel_basis(), tail))
+        rows = _row_basis(sets[i].constraint_rows()[0])
+        tail = _row_basis(_stacked_constraints(sets[i + 1:])[0])
+        cosines.append(friederichs_cosine(rows, tail))
     prod = 1.0
     for c in cosines:
         prod *= 1.0 - c * c

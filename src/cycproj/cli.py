@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -116,14 +117,18 @@ def _fmt(x: float, digits: int) -> str:
 
 @contextlib.contextmanager
 def _open_out(path: Optional[str]):
+    """The output stream; a regular file at path is removed if the run fails."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        fh = open(path, "w", newline="")
-        try:
+        return
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
             yield fh
-        finally:
-            fh.close()
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def parse_problem_file(path: str) -> tuple[np.ndarray, list]:
@@ -238,54 +243,44 @@ def _solution_estimate(x0, sets) -> Optional[np.ndarray]:
     return exact_projection(x0, sets)
 
 
-def _write_trace(fh, trace, dists: Optional[list]) -> None:
-    header = "k,t_k,successive_change"
-    if dists is not None:
-        header += ",dist_to_solution"
-    fh.write(header + "\n")
-    for i, k in enumerate(trace.ks):
-        cols = [
-            str(k),
-            _fmt(trace.steps[i], TRACE_DIGITS),
-            _fmt(trace.changes[i], TRACE_DIGITS),
-        ]
-        if dists is not None:
-            cols.append(_fmt(dists[i], TRACE_DIGITS))
-        fh.write(",".join(cols) + "\n")
-
-
 def cmd_solve(args) -> int:
-    x0, sets = parse_problem_file(args.problem)
     method = args.method
+    # Overflow shows as a non-finite value, which the checks below report
+    # in one error line; numpy's warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        x0, sets = parse_problem_file(args.problem)
+        worst = max(s.residual(x0) for s in sets)
+        bound = FEASIBLE_X0_TOL * (1.0 + float(np.linalg.norm(x0)))
+        # An overflowing start reads inf on both sides; it is not feasible.
+        if np.isfinite(bound) and worst <= bound:
+            with _open_out(args.out) as fh:
+                fh.write("k,t_k,successive_change\n")
+            _summary(method, True, 0, x0)
+            return 0
 
-    worst = max(s.residual(x0) for s in sets)
-    bound = FEASIBLE_X0_TOL * (1.0 + float(np.linalg.norm(x0)))
-    # An overflowing start reads inf on both sides; it is not feasible.
-    if np.isfinite(bound) and worst <= bound:
+        target = _solution_estimate(x0, sets)
+        op, rule = build_operator(sets, method)
+        cfg = SolveConfig(
+            eps=args.eps,
+            max_iter=args.max_iter,
+            store_every=args.store_every,
+        )
+        # A Douglas-Rachford iterate answers through its shadow on the first set.
+        shadow = sets[0].project if PLANS[method][0] == "dr" else (lambda z: z)
+
         with _open_out(args.out) as fh:
-            fh.write("k,t_k,successive_change\n")
-        _summary(method, True, 0, x0)
-        return 0
+            dist_column = "" if target is None else ",dist_to_solution"
+            fh.write(f"k,t_k,successive_change{dist_column}\n")
 
-    target = _solution_estimate(x0, sets)
-    op, rule = build_operator(sets, method)
-    cfg = SolveConfig(
-        eps=args.eps,
-        max_iter=args.max_iter,
-        store_every=args.store_every,
-    )
-    trace = solve(op, rule, x0, cfg)
+            def write_row(k, t, change, z):
+                cols = [str(k), _fmt(t, TRACE_DIGITS), _fmt(change, TRACE_DIGITS)]
+                if target is not None:
+                    dist = np.linalg.norm(shadow(z) - target)
+                    cols.append(_fmt(dist, TRACE_DIGITS))
+                fh.write(",".join(cols) + "\n")
 
-    # A Douglas-Rachford iterate answers through its shadow on the first set.
-    shadow = sets[0].project if PLANS[method][0] == "dr" else (lambda z: z)
-    final = shadow(trace.final)
-    dists = None
-    if target is not None:
-        dists = [float(np.linalg.norm(shadow(z) - target)) for z in trace.iterates]
-
-    with _open_out(args.out) as fh:
-        _write_trace(fh, trace, dists)
-    _summary(method, trace.converged, trace.iterations, final)
+            trace = solve(op, rule, x0, cfg, on_row=write_row)
+    _summary(method, trace.converged, trace.iterations, shadow(trace.final))
     return 0 if trace.converged else 2
 
 
@@ -473,7 +468,8 @@ def _positive(kind, what):
         try:
             value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{what} must be a {kind.__name__}")
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"{what} must be {noun}")
         if value <= 0:
             raise argparse.ArgumentTypeError(f"{what} must be positive")
         return value

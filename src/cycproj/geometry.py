@@ -56,20 +56,6 @@ def _check_dim(dim: int, x: np.ndarray) -> None:
         )
 
 
-def _complement_of_unit(unit: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of a unit vector.
-
-    Columns 1..d-1 of the Householder reflector that carries e_1 onto
-    +-unit are orthonormal and orthogonal to unit, which is exactly the
-    completion needed to turn a hyperplane normal into a spanning basis.
-    """
-    d = unit.shape[0]
-    v = unit.copy()
-    v[0] += 1.0 if v[0] >= 0.0 else -1.0
-    h = np.eye(d) - (2.0 / (v @ v)) * np.outer(v, v)
-    return h[:, 1:]
-
-
 def _set_normal_form(s, what: str) -> None:
     """Validate and store a frozen set's normal, offset and |normal|^2."""
     normal = as_vector(s.normal)
@@ -117,14 +103,6 @@ class Hyperplane:
         """The translate {s + v : s in self}."""
         _check_dim(self.dim, v)
         return Hyperplane(self.normal, self.offset + float(self.normal @ v))
-
-    def parallel_basis(self) -> np.ndarray:
-        """Orthonormal basis (d x (d-1)) of the parallel subspace."""
-        return _complement_of_unit(self.normal / np.sqrt(self._nsq))
-
-    def span_form(self) -> "Span":
-        anchor = (self.offset / self._nsq) * self.normal
-        return Span(anchor, self.parallel_basis())
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows A and values b with the set equal to {x : A x = b}."""
@@ -188,12 +166,6 @@ class Span:
     def shifted(self, v: np.ndarray) -> "Span":
         _check_dim(self.dim, v)
         return Span(self.anchor + v, self.basis)
-
-    def parallel_basis(self) -> np.ndarray:
-        return self.basis
-
-    def span_form(self) -> "Span":
-        return self
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         # Full QR completes the basis; trailing columns span the complement.

@@ -296,15 +296,36 @@ def _nullspace(a: np.ndarray) -> np.ndarray:
     return null_space(a, rcond=RANK_CUTOFF)
 
 
+def _row_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal (d, r) basis of the row space of a, the complement of
+    _nullspace(a): singular values above RANK_CUTOFF * sigma_max count."""
+    _, sing, vt = np.linalg.svd(a, full_matrices=False)
+    return vt[:int(np.sum(sing > RANK_CUTOFF * sing.max(initial=0.0)))].T
+
+
+def _principal(u: np.ndarray, v: np.ndarray):
+    """Principal cosines between the column spaces of orthonormal u and v.
+
+    Returns the cosines, the matching unit directions v z_i, and a mask of
+    the directions the two spaces share: those whose sine, the length of
+    (v - u u^T v) z_i, is at most RANK_CUTOFF.
+    """
+    s = u.T @ v
+    _, cos, zt = np.linalg.svd(s, full_matrices=False)
+    sines = np.linalg.norm((v - u @ s) @ zt.T, axis=0)
+    return cos, v @ zt.T, sines <= RANK_CUTOFF
+
+
 def fixset_dr(c1: AffineSet, c2: AffineSet) -> Span:
     """Fixed set of the Douglas-Rachford composite for an affine pair.
 
-    The fixed points form the affine set (C1 n C2) + N1 n N2 where N1, N2
-    are the orthogonal complements of the parallel subspaces.  Raises
+    The fixed points form the affine set (C1 n C2) + (R1 n R2), where R1
+    and R2 are the constraint row spaces, the orthogonal complements of
+    the parallel subspaces.  R1 n R2 comes from the principal angles
+    between the two row spaces, so a hyperplane pair costs O(d) there.
+    The direction of C1 n C2 is null(A) for the stacked rows A, which the
+    returned Span stores as a dense d x (d - rank A) basis.  Raises
     InfeasibleProblemError when the pair has empty intersection.
-
-    A Hyperplane's parallel basis is a dense d x d Householder matrix, so
-    a hyperplane pair costs O(d^2) memory here.
     """
     if isinstance(c1, HalfSpace) or isinstance(c2, HalfSpace):
         raise TypeError("fixed-set computation requires affine sets")
@@ -320,11 +341,6 @@ def fixset_dr(c1: AffineSet, c2: AffineSet) -> Span:
                 "the two sets have no common point; the fixed set is empty"
             )
         anchor = y
-    # Direction of the intersection: joint null space of both constraint
-    # blocks.  Orthogonal part: null space of the stacked parallel bases.
-    direction = _nullspace(a)
-    spans = np.hstack([c1.parallel_basis(), c2.parallel_basis()])
-    ortho = _nullspace(spans.T)
-    basis = np.hstack([direction, ortho])
-    return Span(anchor, basis)
-
+    r1, r2 = (_row_basis(c.constraint_rows()[0]) for c in (c1, c2))
+    _, directions, shared = _principal(r1, r2)
+    return Span(anchor, np.hstack([_nullspace(a), directions[:, shared]]))

@@ -66,14 +66,12 @@ def sample_point(rng, s, scale=2.0):
     raise TypeError(f"cannot sample from {type(s).__name__}")
 
 
-def lstsq_projection(x, sets):
-    """Independent best-approximation oracle via stacked normal equations.
+def stacked_rows(sets):
+    """Constraint rows A and values b of the sets, built from scratch.
 
-    Builds each set's constraints from scratch (hyperplane rows directly,
-    span complements via scipy null_space) and solves the KKT least
-    squares problem with numpy.
+    Hyperplane rows are taken directly, span complements via scipy
+    null_space.
     """
-    d = x.shape[0]
     rows, vals = [], []
     for s in sets:
         if isinstance(s, Hyperplane):
@@ -81,17 +79,107 @@ def lstsq_projection(x, sets):
             vals.append(np.array([s.offset]))
         elif isinstance(s, Span):
             if s.rank == 0:
-                comp = np.eye(d)
+                comp = np.eye(s.dim)
             else:
                 comp = null_space(s.basis.T)
             rows.append(comp.T)
             vals.append(comp.T @ s.anchor)
         else:
             raise TypeError(f"cannot stack {type(s).__name__}")
-    a = np.vstack(rows)
-    b = np.concatenate(vals)
+    return np.vstack(rows), np.concatenate(vals)
+
+
+def lstsq_projection(x, sets):
+    """Independent best-approximation oracle via stacked normal equations.
+
+    Stacks the constraints with `stacked_rows` and solves the KKT least
+    squares problem with numpy.
+    """
+    a, b = stacked_rows(sets)
     y, *_ = np.linalg.lstsq(a, a @ x - b, rcond=None)
     return x - y
+
+
+# The analysis oracles below work with the parallel subspaces themselves,
+# as dense d x (d - rows) bases, where the library works with constraint
+# row spaces.  Their rank cutoff is the library's RANK_CUTOFF.
+NULL_RCOND = 1e-10
+
+
+def complement_of_unit(unit):
+    """Orthonormal basis of the orthogonal complement of a unit vector.
+
+    Columns 1..d-1 of the Householder reflector that carries e_1 onto
+    +-unit are orthonormal and orthogonal to unit.
+    """
+    d = unit.shape[0]
+    v = unit.copy()
+    v[0] += 1.0 if v[0] >= 0.0 else -1.0
+    h = np.eye(d) - (2.0 / (v @ v)) * np.outer(v, v)
+    return h[:, 1:]
+
+
+def parallel_basis(s):
+    """Orthonormal basis of a set's parallel subspace (d x (d-1) for a hyperplane)."""
+    if isinstance(s, Hyperplane):
+        return complement_of_unit(s.normal / np.linalg.norm(s.normal))
+    return s.basis
+
+
+def span_form(h):
+    """A Hyperplane as a Span: its nearest point to 0 plus its parallel basis."""
+    return Span((h.offset / (h.normal @ h.normal)) * h.normal, parallel_basis(h))
+
+
+def _orth_columns(b):
+    # Deflated bases started from unit columns, so singular values below
+    # the cutoff mean content that was subtracted away, not scale.
+    if b.shape[1] == 0:
+        return b
+    left, sing, _ = np.linalg.svd(b, full_matrices=False)
+    return left[:, sing > NULL_RCOND]
+
+
+def stack_friederichs_cosine(u, v):
+    """Friederichs cosine from the joint null space of two projectors.
+
+    The intersection is the null space of the stacked 2d x d matrix
+    [I - U U^T; I - V V^T]; it is removed from both bases, and the
+    cosine is the spectral norm of the remaining cross product.
+    """
+    d = u.shape[0]
+    if u.shape[1] == 0 or v.shape[1] == 0:
+        return 0.0
+    stack = np.vstack([np.eye(d) - u @ u.T, np.eye(d) - v @ v.T])
+    w = null_space(stack, rcond=NULL_RCOND)
+    if w.shape[1] > 0:
+        u = u - w @ (w.T @ u)
+        v = v - w @ (w.T @ v)
+    u = _orth_columns(u)
+    v = _orth_columns(v)
+    if u.shape[1] == 0 or v.shape[1] == 0:
+        return 0.0
+    return min(max(float(np.linalg.norm(u.T @ v, ord=2)), 0.0), 1.0)
+
+
+def stack_rate_cosines(sets):
+    """Cosines between each parallel subspace and the later sets' intersection."""
+    cosines = []
+    for i in range(len(sets) - 1):
+        tail = null_space(stacked_rows(sets[i + 1:])[0], rcond=NULL_RCOND)
+        cosines.append(stack_friederichs_cosine(parallel_basis(sets[i]), tail))
+    return cosines
+
+
+def stack_fixset_basis(c1, c2):
+    """Direction basis of the Douglas-Rachford fixed set of an affine pair.
+
+    null(A) for the stacked rows, plus the null space of the two parallel
+    bases side by side (the vectors orthogonal to both parallel subspaces).
+    """
+    direction = null_space(stacked_rows([c1, c2])[0], rcond=NULL_RCOND)
+    spans = np.hstack([parallel_basis(c1), parallel_basis(c2)])
+    return np.hstack([direction, null_space(spans.T, rcond=NULL_RCOND)])
 
 
 def scan_line_min(x, direction, target, lo=-2.0, hi=3.0, step=1e-2):

@@ -4,21 +4,29 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import subspace_angles
+from scipy.linalg import null_space, subspace_angles
 
-from cycproj.acceleration import SolveConfig, StepRule, solve
+from cycproj.acceleration import NumericalFailureError, SolveConfig, StepRule, solve
 from cycproj.analysis import (
     exact_projection,
     friederichs_cosine,
     rate_constant,
 )
 from cycproj.geometry import HalfSpace, Hyperplane, InfeasibleProblemError, Span
-from cycproj.operators import CycleOperator
+from cycproj.operators import CycleOperator, fixset_dr
 
 from conftest import (
+    NULL_RCOND,
     lstsq_projection,
     orthonormal_columns,
+    parallel_basis,
     random_affine_instance,
+    random_hyperplane_through,
+    random_span_through,
+    stack_fixset_basis,
+    stack_friederichs_cosine,
+    stack_rate_cosines,
+    stacked_rows,
 )
 
 
@@ -87,6 +95,13 @@ def test_exact_projection_input_validation():
         exact_projection(
             np.zeros(2), [h, Hyperplane(np.array([2.0, 0.0]), 5.0)]
         )
+    # A x0 overflows: a non-finite target is an error, not a result
+    diagonals = [
+        Hyperplane(np.array([1.0, 1.0]), 0.0),
+        Hyperplane(np.array([1.0, -1.0]), 0.0),
+    ]
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailureError):
+        exact_projection(np.array([1e308, 1e308]), diagonals)
 
 
 def test_friederichs_two_lines_frozen():
@@ -228,3 +243,74 @@ def test_rate_constant_bounds_observed_contraction():
             assert dist <= d0 * float(report.bound(k)) + 1e-9 * (1.0 + d0)
             if factor is not None and dist > 1e-8 * (1.0 + d0):
                 assert factor <= report.constant + 1e-6
+
+
+def random_mixed_sets(rng):
+    """Two to four sets through one point, with each set's kind.
+
+    Kinds: a random hyperplane or span, a point (parallel subspace {0}),
+    a hyperplane parallel to an earlier one (rescaled, and half the time
+    shifted off the common point), and a span inside an earlier span.
+    """
+    d = int(rng.integers(2, 9))
+    p = 3.0 * rng.standard_normal(d)
+    sets, kinds = [], []
+    for _ in range(int(rng.integers(2, 5))):
+        kind = str(rng.choice(["hyperplane", "span", "point", "parallel", "nested"]))
+        hyperplanes = [s for s in sets if isinstance(s, Hyperplane)]
+        spans = [s for s in sets if isinstance(s, Span) and s.rank > 1]
+        if kind == "parallel" and hyperplanes:
+            h = hyperplanes[int(rng.integers(len(hyperplanes)))]
+            scale = float(rng.uniform(0.5, 2.0))
+            shift = float(rng.standard_normal()) if rng.random() < 0.5 else 0.0
+            s = Hyperplane(scale * h.normal, scale * h.offset + shift)
+        elif kind == "nested" and spans:
+            big = spans[int(rng.integers(len(spans)))]
+            r = int(rng.integers(1, big.rank))
+            s = Span(big.anchor, big.basis @ orthonormal_columns(rng, big.rank, r))
+        elif kind == "point":
+            s = Span(p, np.zeros((d, 0)))
+        elif kind == "span":
+            s = random_span_through(rng, p, int(rng.integers(1, d)))
+        else:
+            kind = "hyperplane"
+            s = random_hyperplane_through(rng, p)
+        sets.append(s)
+        kinds.append(kind)
+    return sets, kinds
+
+
+def test_row_space_analysis_matches_projector_stack_route():
+    # rate_constant and fixset_dr work in constraint-row space; the oracles
+    # take the same quantities from dense parallel-subspace bases and the
+    # 2d x d projector stack.
+    rng = np.random.default_rng(68)
+    seen = dict.fromkeys(["hyperplane", "span", "point", "parallel", "nested"], 0)
+    infeasible = 0
+    for _ in range(240):
+        sets, kinds = random_mixed_sets(rng)
+        for kind in kinds:
+            seen[kind] += 1
+        report = rate_constant(sets)
+        want = stack_rate_cosines(sets)
+        assert np.max(np.abs(np.array(report.cosines) - want)) <= 1e-12, kinds
+        prod = np.prod([1.0 - c * c for c in want])
+        assert abs(report.constant - math.sqrt(min(max(1.0 - prod, 0.0), 1.0))) <= 1e-12
+        tail = null_space(stacked_rows(sets[1:])[0], rcond=NULL_RCOND)
+        first = parallel_basis(sets[0])
+        direct = friederichs_cosine(first, tail)
+        assert abs(direct - stack_friederichs_cosine(first, tail)) <= 1e-12
+
+        try:
+            fix = fixset_dr(sets[0], sets[1])
+        except InfeasibleProblemError:
+            a, b = stacked_rows(sets[:2])
+            y, *_ = np.linalg.lstsq(a, b, rcond=None)
+            assert np.linalg.norm(a @ y - b) > 1e-6, kinds
+            infeasible += 1
+            continue
+        basis = stack_fixset_basis(sets[0], sets[1])
+        assert fix.rank == basis.shape[1], kinds
+        gap = np.max(np.abs(fix.basis @ fix.basis.T - basis @ basis.T))
+        assert gap <= 1e-12, kinds
+    assert min(seen.values()) >= 20 and infeasible > 0, (seen, infeasible)

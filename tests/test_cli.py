@@ -7,16 +7,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cycproj
-from cycproj.acceleration import StepRule
+from cycproj.acceleration import SolveConfig, StepRule, solve
 from cycproj.analysis import exact_projection
 from cycproj.cli import (
     BENCH_HEADER,
+    SOLVE_METHODS,
     SWEEP_HEADER,
     ProblemFileError,
     UsageError,
@@ -188,6 +190,128 @@ def test_solve_store_every_zero_keeps_header_only(tmp_path, capsys):
     assert code == 0
     assert len(out.read_text().splitlines()) == 1
     assert "converged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "x0,rows,line",
+    [
+        # A x0 overflows in the closed-form oracle, before any iteration.
+        ("1e308 1e308", ("1 1 0", "1 -1 0"), "error: non-finite value at iteration 0"),
+        # The oracle is finite; the first step's change overflows.
+        ("1e200 1e200", ("1 0 0", "0 1 0"), "error: non-finite value at iteration 1"),
+        # |normal|^2 overflows while the file is read.
+        (
+            "1 2",
+            ("1e200 1e200 0", "1 -1 0"),
+            "error: line 3: hyperplane normal must be nonzero,"
+            " with a finite squared norm",
+        ),
+    ],
+)
+def test_overflow_prints_one_error_line(tmp_path, x0, rows, line):
+    text = f"dim 2\nx0 {x0}\n" + "".join(f"hyperplane {r}\n" for r in rows)
+    problem = write_problem(tmp_path, text)
+    for method in ("cp", "gk-affine", "dr"):
+        args = ["solve", problem, "--method", method, "--out", "t.csv"]
+        result = run_child([sys.executable, "-m", "cycproj"] + args, tmp_path)
+        assert result.returncode == 1, method
+        assert result.stderr == line + "\n", method
+        assert result.stdout == ""
+        assert not (tmp_path / "t.csv").exists(), method
+
+
+@pytest.mark.parametrize(
+    "command,flag,message",
+    [
+        ("hyperplane-bench", "--m", "m must be an integer"),
+        ("hyperplane-bench", "--reps", "reps must be an integer"),
+        ("hyperplane-bench", "--eps", "eps must be a number"),
+        ("angle-sweep", "--theta-step", "theta-step must be a number"),
+    ],
+)
+def test_flag_type_errors_name_the_type(capsys, command, flag, message):
+    assert main([command, flag, "x"]) == 1
+    assert f"error: argument {flag}: {message}\n" in capsys.readouterr().err
+
+
+def write_rows_problem(tmp_path, name, x0, a, b):
+    """A problem file of the hyperplanes a[i] . x = b[i], floats written exactly."""
+    lines = [f"dim {a.shape[1]}", "x0 " + " ".join(repr(float(v)) for v in x0)]
+    for row, value in zip(a, b):
+        lines.append(
+            "hyperplane " + " ".join(repr(float(v)) for v in row) + f" {float(value)!r}"
+        )
+    return write_problem(tmp_path, "\n".join(lines) + "\n", name)
+
+
+def hyperplane_pair(rng, d, theta):
+    """Unit normals at angle theta, hyperplanes through a random point p,
+    and a start 10 from p in their row space; returns (x0, a, b)."""
+    a1 = rng.standard_normal(d)
+    a1 /= np.linalg.norm(a1)
+    u = rng.standard_normal(d)
+    u -= (u @ a1) * a1
+    u /= np.linalg.norm(u)
+    a = np.array([a1, math.cos(theta) * a1 + math.sin(theta) * u])
+    p = rng.standard_normal(d)
+    return p + 10.0 * (a1 + u) / math.sqrt(2.0), a, a @ p
+
+
+def trace_csv(problem, method, store_every):
+    """The solve CSV rebuilt from the trace that solve() keeps in memory."""
+    x0, sets = parse_problem_file(problem)
+    target = exact_projection(x0, sets)
+    op, rule = build_operator(sets, method)
+    cfg = SolveConfig(eps=1e-9, max_iter=100_000, store_every=store_every)
+    trace = solve(op, rule, x0, cfg)
+    shadow = sets[0].project if method in ("dr", "accel-dr") else (lambda z: z)
+    lines = ["k,t_k,successive_change,dist_to_solution"]
+    for k, t, change, z in zip(trace.ks, trace.steps, trace.changes, trace.iterates):
+        dist = np.linalg.norm(shadow(z) - target)
+        cells = [format(float(v), ".17g") for v in (t, change, dist)]
+        lines.append(",".join([str(k)] + cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("store_every", ["1", "3", "0"])
+def test_streamed_csv_equals_in_memory_trace(tmp_path, capsys, store_every):
+    # 70 rows take the row kernel; the dr methods need exactly two sets,
+    # so only the pair runs them.
+    rng = np.random.default_rng(70)
+    a = rng.standard_normal((70, 140))
+    p = rng.standard_normal(140)
+    x0 = p + a.T @ rng.standard_normal(70) / 10.0
+    system = write_rows_problem(tmp_path, "system.txt", x0, a, a @ p)
+    pair = write_rows_problem(tmp_path, "pair.txt", *hyperplane_pair(rng, 20, 0.3))
+    cycles = [m for m in SOLVE_METHODS if not m.endswith("dr")]
+    out = tmp_path / "trace.csv"
+    for problem, methods in ((system, cycles), (pair, SOLVE_METHODS)):
+        for method in methods:
+            args = ["solve", problem, "--method", method, "--store-every", store_every]
+            assert main(args + ["--out", str(out)]) == 0, method
+            want = trace_csv(problem, method, int(store_every))
+            assert out.read_bytes() == want, method
+    capsys.readouterr()
+
+
+def test_solve_memory_does_not_grow_with_iterations(tmp_path, capsys):
+    # cp on two hyperplanes at theta = 0.05 in R^400 takes 6,674 iterations;
+    # their iterates alone would take 21 MB.
+    rng = np.random.default_rng(11)
+    problem = write_rows_problem(tmp_path, "pair.txt", *hyperplane_pair(rng, 400, 0.05))
+    out = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        code = main(["solve", problem, "--method", "cp", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    err = capsys.readouterr().err
+    iterations = int(err.split("after ")[1].split(" iterations")[0])
+    assert iterations > 5000
+    assert len(out.read_text().splitlines()) == iterations + 1
+    assert peak < 2_000_000
 
 
 def test_solve_exit_codes(tmp_path, capsys):

@@ -13,7 +13,7 @@ from cycproj.geometry import (
     translate_check,
 )
 
-from conftest import random_affine_instance, sample_point
+from conftest import random_affine_instance, sample_point, span_form
 
 IDEM_TOL = 1e-12
 ORTH_TOL = 1e-10
@@ -246,7 +246,7 @@ def test_hyperplane_span_form_agrees():
     for _ in range(25):
         d = int(rng.integers(2, 9))
         h = Hyperplane(rng.standard_normal(d) + 0.05, float(rng.standard_normal()))
-        s = h.span_form()
+        s = span_form(h)
         x = 4.0 * rng.standard_normal(d)
         assert np.linalg.norm(h.project(x) - s.project(x)) <= 1e-10 * (
             1.0 + np.linalg.norm(x)
