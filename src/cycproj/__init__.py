@@ -8,13 +8,11 @@ benchmark CLI (`python -m cycproj`).
 
 from .geometry import (
     AffineSet,
-    AnySet,
     DimensionMismatchError,
     HalfSpace,
     Hyperplane,
     InfeasibleProblemError,
     Span,
-    translate_check,
 )
 from .operators import (
     CycleOperator,
@@ -42,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineSet",
-    "AnySet",
     "CycleOperator",
     "DimensionMismatchError",
     "DouglasRachfordOperator",
@@ -63,5 +60,4 @@ __all__ = [
     "solve",
     "step_gk_affine",
     "step_oracle",
-    "translate_check",
 ]

@@ -111,9 +111,8 @@ class IterationTrace:
 
     Row i describes completed update ks[i]: the step taken, the iterate it
     produced, the change it caused, and (when the solution is known) the
-    distance and contraction factor it achieved.  The rows hold one
-    d-vector each; a solve that streams them through on_row leaves them
-    empty.
+    distance it achieved.  The rows hold one d-vector each; a solve that
+    streams them through on_row leaves them empty.
     """
 
     start: np.ndarray
@@ -125,7 +124,6 @@ class IterationTrace:
     changes: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
     dists: Optional[list[float]] = None
-    factors: Optional[list[Optional[float]]] = None
     initial_dist: Optional[float] = None
 
 
@@ -239,13 +237,11 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     trace = IterationTrace(start=x, final=x, iterations=0, converged=False)
     if sol is not None:
         trace.dists = []
-        trace.factors = []
         trace.initial_dist = float(np.linalg.norm(x - sol))
         if trace.initial_dist < cfg.eps:
             trace.converged = True
             return trace
 
-    prev_dist = trace.initial_dist
     last_row = None
     k = 0
     while k < cfg.max_iter:
@@ -276,14 +272,11 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
                 raise NumericalFailureError(k + 1)
         k += 1
 
-        dist = factor = None
+        dist = None
         if sol is not None:
             dist = float(np.linalg.norm(x_new - sol))
             if not math.isfinite(dist):
                 raise NumericalFailureError(k)
-            if prev_dist is not None and prev_dist > cfg.eps * cfg.eps:
-                factor = dist / prev_dist
-            prev_dist = dist
 
         if change is None and (sol is None or cfg.store_every > 0):
             g = x_new - x
@@ -296,7 +289,7 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
             done = dist < cfg.eps
 
         if cfg.store_every > 0:
-            last_row = (k, float(t), float(change), x_new, dist, factor)
+            last_row = (k, float(t), float(change), x_new, dist)
             if k % cfg.store_every == 0:
                 _record(trace, on_row, last_row)
                 last_row = None
@@ -318,7 +311,7 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
 
 
 def _record(trace: IterationTrace, on_row, row) -> None:
-    k, t, change, x_new, dist, factor = row
+    k, t, change, x_new, dist = row
     if on_row is not None:
         on_row(k, t, change, x_new)
         return
@@ -328,4 +321,3 @@ def _record(trace: IterationTrace, on_row, row) -> None:
     trace.iterates.append(x_new)
     if trace.dists is not None:
         trace.dists.append(dist)
-        trace.factors.append(factor)

@@ -108,15 +108,12 @@ class RateReport:
 
     cosines[i] is the Friederichs cosine between set i's parallel
     subspace and the intersection of all later ones; constant is the
-    induced per-iteration error factor.
+    induced per-iteration error factor, so k passes shrink the distance
+    to the solution at least by constant ** k.
     """
 
     cosines: tuple[float, ...]
     constant: float
-
-    def bound(self, k):
-        """Error-reduction bound after k iterations: constant ** k."""
-        return self.constant ** np.asarray(k, dtype=float)
 
 
 def rate_constant(sets: Sequence[AffineSet]) -> RateReport:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -121,7 +122,10 @@ def _open_out(path: Optional[str]):
     if path is None or path == "-":
         yield sys.stdout
         return
-    fh = open(path, "w", newline="")
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
     try:
         with fh:
             yield fh
@@ -463,33 +467,28 @@ def cmd_hyperplane_bench(args) -> int:
     return 0 if all(r.all_converged for r in rows) else 2
 
 
-def _positive(kind, what):
+def _number(kind, what, low=None):
+    """Flag converter for an int or a finite float, above low when given."""
+
     def convert(text):
         try:
             value = kind(text)
         except ValueError:
             noun = "an integer" if kind is int else "a number"
             raise argparse.ArgumentTypeError(f"{what} must be {noun}")
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{what} must be positive")
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{what} must be a finite number")
+        if low is not None and value <= low:
+            need = "positive" if low == 0 else f"greater than {low}"
+            raise argparse.ArgumentTypeError(f"{what} must be {need}")
         return value
 
     return convert
 
 
 def _positive_list(kind, what):
-    one = _positive(kind, what)
+    one = _number(kind, what, 0)
     return lambda text: [one(item) for item in text.split(",")]
-
-
-def _nonnegative_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -501,9 +500,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, eps_default):
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--eps", type=_positive(float, "eps"), default=eps_default)
+        p.add_argument("--eps", type=_number(float, "eps", 0), default=eps_default)
         p.add_argument(
-            "--max-iter", type=_positive(int, "max-iter"), default=100_000
+            "--max-iter", type=_number(int, "max-iter", 0), default=100_000
         )
 
     p_solve = sub.add_parser("solve", help="run one method on a problem file")
@@ -511,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", choices=SOLVE_METHODS, default="cp")
     p_solve.add_argument(
         "--store-every",
-        type=_nonnegative_int,
+        type=_number(int, "store-every", -1),
         default=1,
         help="keep every j-th trace row (0 keeps none)",
     )
@@ -521,10 +520,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "angle-sweep", help="iteration counts for two lines at varied angles"
     )
-    p_sweep.add_argument("--theta-min", type=float, default=0.01)
-    p_sweep.add_argument("--theta-max", type=float, default=1.57)
-    p_sweep.add_argument("--theta-step", type=_positive(float, "theta-step"), default=0.01)
-    p_sweep.add_argument("--reps", type=_positive(int, "reps"), default=10)
+    p_sweep.add_argument("--theta-min", type=_number(float, "theta-min"), default=0.01)
+    p_sweep.add_argument("--theta-max", type=_number(float, "theta-max"), default=1.57)
+    p_sweep.add_argument(
+        "--theta-step", type=_number(float, "theta-step", 0), default=0.01
+    )
+    p_sweep.add_argument("--reps", type=_number(int, "reps", 0), default=10)
     common(p_sweep, eps_default=1e-9)
     p_sweep.set_defaults(func=cmd_angle_sweep)
 
@@ -538,16 +539,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated ambient dimensions, one system each",
     )
     p_bench.add_argument(
-        "--n", type=_positive(int, "n"), default=None, help="defaults to m // 2"
+        "--n", type=_number(int, "n", 0), default=None, help="defaults to m // 2"
     )
-    p_bench.add_argument("--reps", type=_positive(int, "reps"), default=10)
+    p_bench.add_argument("--reps", type=_number(int, "reps", 0), default=10)
     p_bench.add_argument(
         "--methods", default="cp,accel-cp", help="comma-separated method list"
     )
     common(p_bench, eps_default=1e-6)
     p_bench.set_defaults(func=cmd_hyperplane_bench)
     for p in (p_sweep, p_bench):
-        p.add_argument("--seed", type=_nonnegative_int, default=0)
+        p.add_argument("--seed", type=_number(int, "seed", -1), default=0)
     return parser
 
 

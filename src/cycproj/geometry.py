@@ -21,9 +21,7 @@ __all__ = [
     "Span",
     "HalfSpace",
     "AffineSet",
-    "AnySet",
     "as_vector",
-    "translate_check",
 ]
 
 # Orthonormality drift accepted silently at construction.
@@ -62,7 +60,9 @@ def _set_normal_form(s, what: str) -> None:
     offset = float(s.offset)
     if not np.all(np.isfinite(normal)) or not np.isfinite(offset):
         raise ValueError(f"{what} data must be finite")
-    nsq = float(normal @ normal)
+    # An overflowing |normal|^2 reads inf, which the check below rejects.
+    with np.errstate(over="ignore"):
+        nsq = float(normal @ normal)
     if not 0.0 < nsq < np.inf:
         raise ValueError(f"{what} normal must be nonzero, with a finite squared norm")
     object.__setattr__(s, "normal", normal)
@@ -98,11 +98,6 @@ class Hyperplane:
         """Distance from x to the set."""
         _check_dim(self.dim, x)
         return abs(self.normal @ x - self.offset) / np.sqrt(self._nsq)
-
-    def shifted(self, v: np.ndarray) -> "Hyperplane":
-        """The translate {s + v : s in self}."""
-        _check_dim(self.dim, v)
-        return Hyperplane(self.normal, self.offset + float(self.normal @ v))
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows A and values b with the set equal to {x : A x = b}."""
@@ -163,10 +158,6 @@ class Span:
         p = self.project(x)
         return float(np.linalg.norm(x - p))
 
-    def shifted(self, v: np.ndarray) -> "Span":
-        _check_dim(self.dim, v)
-        return Span(self.anchor + v, self.basis)
-
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         # Full QR completes the basis; trailing columns span the complement.
         if self.rank == 0:
@@ -210,25 +201,7 @@ class HalfSpace:
         _check_dim(self.dim, x)
         return max(0.0, float(self.normal @ x - self.offset)) / np.sqrt(self._nsq)
 
-    def shifted(self, v: np.ndarray) -> "HalfSpace":
-        _check_dim(self.dim, v)
-        return HalfSpace(self.normal, self.offset + float(self.normal @ v))
-
-    def boundary(self) -> Hyperplane:
-        return Hyperplane(self.normal, self.offset)
-
 
 # Affine sets admit reflectors and span/constraint forms; half-spaces only
 # project.
 AffineSet = Union[Hyperplane, Span]
-AnySet = Union[Hyperplane, Span, HalfSpace]
-
-
-def translate_check(x: np.ndarray, s: AnySet, y: np.ndarray) -> np.ndarray:
-    """Project via the translation identity P_S(x) = P_{S-y}(x-y) + y.
-
-    Distinct arithmetic path from s.project(x); kept as a verification route.
-    """
-    _check_dim(s.dim, x)
-    _check_dim(s.dim, y)
-    return s.shifted(-y).project(x - y) + y

@@ -77,12 +77,6 @@ class StageTrace:
             ]
         )
 
-    @property
-    def total_sq(self) -> float:
-        """Squared norm of input minus output."""
-        g = self.stages[0] - self.stages[-1]
-        return float(g @ g)
-
 
 class _RowKernel:
     """Hyperplanes a_i . x = b_i stacked as rows, swept block by block.
@@ -205,11 +199,6 @@ class CycleOperator:
         """Whether the cycle runs forward and then back (mode "symmetric")."""
         return self.mode == "symmetric"
 
-    @property
-    def stage_count(self) -> int:
-        """Number of projections in one application."""
-        return len(self._stage_sets)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self._kernel is not None:
             return self._kernel.sweep(x, self.symmetric)[0]
@@ -262,10 +251,6 @@ class DouglasRachfordOperator:
     @property
     def dim(self) -> int:
         return self.first.dim
-
-    def half_step(self, x: np.ndarray) -> np.ndarray:
-        """One forward averaged double reflection."""
-        return _dr_half(x, self.first, self.second)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         y = _dr_half(x, self.first, self.second)

@@ -9,7 +9,7 @@ spaces.
 import numpy as np
 from scipy.linalg import null_space
 
-from cycproj.geometry import HalfSpace, Hyperplane, Span
+from cycproj.geometry import DimensionMismatchError, HalfSpace, Hyperplane, Span
 
 
 def orthonormal_columns(rng, d, r):
@@ -64,6 +64,47 @@ def sample_point(rng, s, scale=2.0):
     if isinstance(s, Span):
         return s.anchor + s.basis @ (scale * rng.standard_normal(s.rank))
     raise TypeError(f"cannot sample from {type(s).__name__}")
+
+
+def shifted(s, v):
+    """The translate {p + v : p in s}, built with the set's constructor."""
+    if v.shape[0] != s.dim:
+        raise DimensionMismatchError(f"set lives in R^{s.dim}, shift in R^{v.shape[0]}")
+    if isinstance(s, Span):
+        return Span(s.anchor + v, s.basis)
+    return type(s)(s.normal, s.offset + float(s.normal @ v))
+
+
+def translate_check(x, s, y):
+    """Project via the translation identity P_S(x) = P_{S-y}(x-y) + y.
+
+    A distinct arithmetic path from s.project(x), for the projector tests.
+    """
+    if x.shape[0] != s.dim:
+        raise DimensionMismatchError(f"set lives in R^{s.dim}, vector in R^{x.shape[0]}")
+    return shifted(s, -y).project(x - y) + y
+
+
+def total_sq(stage_trace):
+    """Squared norm of a composite application's input minus its output."""
+    g = stage_trace.stages[0] - stage_trace.stages[-1]
+    return float(g @ g)
+
+
+def dr_half(x, a, b):
+    """One averaged double reflection 0.5 (x + R_b R_a x), R_s = 2 P_s - I."""
+    r = 2.0 * a.project(x) - x
+    return 0.5 * (x + (2.0 * b.project(r) - r))
+
+
+def contraction_factors(trace, eps):
+    """Per-update distance ratios d_k / d_{k-1} of a solve with a known solution.
+
+    d_0 is the trace's initial distance; a ratio is None where d_{k-1} is at
+    most eps^2.  Needs every row stored (store_every=1).
+    """
+    prev = [trace.initial_dist] + trace.dists[:-1]
+    return [None if p <= eps * eps else d / p for p, d in zip(prev, trace.dists)]
 
 
 def stacked_rows(sets):

@@ -18,7 +18,7 @@ from cycproj.acceleration import (
 )
 from cycproj.analysis import exact_projection, rate_constant
 from cycproj.cli import angle_sweep, hyperplane_bench, main
-from cycproj.geometry import HalfSpace, Hyperplane, Span, translate_check
+from cycproj.geometry import HalfSpace, Hyperplane, Span
 from cycproj.operators import (
     CycleOperator,
     DouglasRachfordOperator,
@@ -32,6 +32,8 @@ from conftest import (
     sample_point,
     scan_line_min,
     strictly_feasible_halfspaces,
+    total_sq,
+    translate_check,
     violating_point,
 )
 
@@ -61,7 +63,7 @@ def test_criterion_01_trace_step_matches_witness_step():
         op = CycleOperator(tuple(sets))
         x = 4.0 * rng.standard_normal(d)
         tr = op.apply_with_trace(x)
-        if tr.total_sq < 1e-18:
+        if total_sq(tr) < 1e-18:
             continue
         t = step_gk_affine(x, tr.last, tr.increments_sq)
         t_wit = step_oracle(x, tr.last, lstsq_projection(x, sets))
@@ -83,7 +85,7 @@ def test_criterion_02_linear_reduction():
         op = CycleOperator(tuple(sets))
         x = 4.0 * rng.standard_normal(op.dim)
         tr = op.apply_with_trace(x)
-        if tr.total_sq < 1e-18:
+        if total_sq(tr) < 1e-18:
             continue
         t_linear = step_oracle(x, tr.last, np.zeros(op.dim))
         diff = abs(step_gk_affine(x, tr.last, tr.increments_sq) - t_linear)
@@ -102,7 +104,7 @@ def test_criterion_03_line_search_optimality():
         pm = exact_projection(x, sets)
         for _ in range(20):
             tr = op.apply_with_trace(x)
-            gap = math.sqrt(tr.total_sq)
+            gap = math.sqrt(total_sq(tr))
             if gap <= 1e-13 * (1.0 + np.linalg.norm(x)):
                 break
             t = step_gk_affine(x, tr.last, tr.increments_sq)
@@ -218,16 +220,16 @@ def test_criterion_07_halfspace_step_lower_bound():
         x = violating_point(rng, halfspaces)
         cycle = CycleOperator(tuple(halfspaces))
         tr = cycle.apply_with_trace(x)
-        if tr.total_sq < 1e-18:
+        if total_sq(tr) < 1e-18:
             continue
         bound = step_gk_affine(x, tr.last, tr.increments_sq)
         t_scan = scan_line_min(x, tr.last - x, m)
         ok = ok and t_scan >= bound - 1e-10
 
-        boundaries = [h.boundary() for h in halfspaces]
+        boundaries = [Hyperplane(h.normal, h.offset) for h in halfspaces]
         op = CycleOperator(tuple(boundaries))
         tr2 = op.apply_with_trace(x)
-        if tr2.total_sq < 1e-18:
+        if total_sq(tr2) < 1e-18:
             continue
         bound2 = step_gk_affine(x, tr2.last, tr2.increments_sq)
         target = exact_projection(x, boundaries)

@@ -17,12 +17,14 @@ from cycproj.operators import CycleOperator, fixset_dr
 
 from conftest import (
     NULL_RCOND,
+    contraction_factors,
     lstsq_projection,
     orthonormal_columns,
     parallel_basis,
     random_affine_instance,
     random_hyperplane_through,
     random_span_through,
+    shifted,
     stack_fixset_basis,
     stack_friederichs_cosine,
     stack_rate_cosines,
@@ -195,7 +197,7 @@ def test_rate_constant_translation_invariant():
     sets, _ = random_affine_instance(rng, d=6, n=3)
     v = rng.standard_normal(6)
     a = rate_constant(sets)
-    b = rate_constant([s.shifted(v) for s in sets])
+    b = rate_constant([shifted(s, v) for s in sets])
     assert a.cosines == pytest.approx(b.cosines, abs=1e-12)
     assert a.constant == pytest.approx(b.constant, abs=1e-12)
 
@@ -215,9 +217,9 @@ def test_rate_bound_shapes_and_monotonicity():
             Hyperplane(np.array([-math.sin(0.5), math.cos(0.5)]), 0.0),
         ]
     )
-    assert report.bound(0) == 1.0
+    assert report.constant ** 0 == 1.0
     ks = np.arange(6)
-    vals = report.bound(ks)
+    vals = report.constant ** ks
     assert vals.shape == (6,)
     assert np.all(np.diff(vals) < 0.0)
 
@@ -239,8 +241,8 @@ def test_rate_constant_bounds_observed_contraction():
         )
         assert tr.converged
         d0 = tr.initial_dist
-        for k, dist, factor in zip(tr.ks, tr.dists, tr.factors):
-            assert dist <= d0 * float(report.bound(k)) + 1e-9 * (1.0 + d0)
+        for k, dist, factor in zip(tr.ks, tr.dists, contraction_factors(tr, 1e-9)):
+            assert dist <= d0 * float(report.constant ** k) + 1e-9 * (1.0 + d0)
             if factor is not None and dist > 1e-8 * (1.0 + d0):
                 assert factor <= report.constant + 1e-6
 

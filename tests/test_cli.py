@@ -220,18 +220,44 @@ def test_overflow_prints_one_error_line(tmp_path, x0, rows, line):
         assert not (tmp_path / "t.csv").exists(), method
 
 
+FLAG_ERRORS = [
+    ("hyperplane-bench", "--m", "x", "m must be an integer"),
+    ("hyperplane-bench", "--reps", "x", "reps must be an integer"),
+    ("hyperplane-bench", "--eps", "x", "eps must be a number"),
+    ("angle-sweep", "--theta-step", "x", "theta-step must be a number"),
+    ("angle-sweep", "--theta-min", "nan", "theta-min must be a finite number"),
+    ("angle-sweep", "--theta-step", "nan", "theta-step must be a finite number"),
+    ("angle-sweep", "--theta-max", "inf", "theta-max must be a finite number"),
+    ("angle-sweep", "--theta-step", "inf", "theta-step must be a finite number"),
+    ("angle-sweep", "--eps", "nan", "eps must be a finite number"),
+    ("angle-sweep", "--eps", "inf", "eps must be a finite number"),
+]
+
+
 @pytest.mark.parametrize(
-    "command,flag,message",
-    [
-        ("hyperplane-bench", "--m", "m must be an integer"),
-        ("hyperplane-bench", "--reps", "reps must be an integer"),
-        ("hyperplane-bench", "--eps", "eps must be a number"),
-        ("angle-sweep", "--theta-step", "theta-step must be a number"),
-    ],
+    "command,flag,value,message",
+    FLAG_ERRORS,
+    # The non-number "x" cases keep their names from before the value column.
+    ids=["-".join(c[:2] + c[3:] if c[2] == "x" else c) for c in FLAG_ERRORS],
 )
-def test_flag_type_errors_name_the_type(capsys, command, flag, message):
-    assert main([command, flag, "x"]) == 1
+def test_flag_type_errors_name_the_type(capsys, command, flag, value, message):
+    assert main([command, flag, value]) == 1
     assert f"error: argument {flag}: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [".", "missing/x.csv"])
+def test_unwritable_out_prints_one_error_line(tmp_path, out):
+    target = str(tmp_path / out)  # "." is the directory itself
+    problem = write_problem(tmp_path, TWO_LINES)
+    sweep = ["angle-sweep", "--theta-min", "0.5", "--theta-max", "0.5", "--reps", "1"]
+    for args in (["solve", problem], sweep):
+        cmd = [sys.executable, "-m", "cycproj"] + args + ["--out", target]
+        result = run_child(cmd, tmp_path)
+        assert result.returncode == 1, args[0]
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith(f"error: cannot write {target}: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert result.stdout == ""
 
 
 def write_rows_problem(tmp_path, name, x0, a, b):

@@ -10,10 +10,9 @@ from cycproj.geometry import (
     HalfSpace,
     Hyperplane,
     Span,
-    translate_check,
 )
 
-from conftest import random_affine_instance, sample_point, span_form
+from conftest import random_affine_instance, sample_point, span_form, translate_check
 
 IDEM_TOL = 1e-12
 ORTH_TOL = 1e-10

@@ -19,9 +19,11 @@ from cycproj.operators import (
 from cycproj.analysis import exact_projection
 
 from conftest import (
+    dr_half,
     random_affine_instance,
     random_hyperplane_through,
     sample_point,
+    shifted,
     strictly_feasible_halfspaces,
 )
 
@@ -105,9 +107,9 @@ def test_translation_reduction_to_linear_cycle():
     rng = np.random.default_rng(36)
     for _ in range(10):
         sets, p = random_affine_instance(rng, d=5, n=3)
-        shifted = [s.shifted(-p) for s in sets]
+        translated = [shifted(s, -p) for s in sets]
         op = CycleOperator(tuple(sets))
-        op0 = CycleOperator(tuple(shifted))
+        op0 = CycleOperator(tuple(translated))
         x = 4.0 * rng.standard_normal(5)
         assert np.linalg.norm(op.apply(x) - (op0.apply(x - p) + p)) <= 1e-10 * (
             1.0 + np.linalg.norm(x)
@@ -129,7 +131,9 @@ def test_row_kernel_matches_row_loop(n, mode):
         ref = op.apply_with_trace(x)
         ref_inc = ref.increments_sq
         y, inc = op.apply_with_increments(x)
-        assert inc.shape == ref_inc.shape == (op.stage_count,)
+        assert inc.shape == ref_inc.shape == (
+            2 * len(op.sets) - 1 if op.mode == "symmetric" else len(op.sets),
+        )
         assert np.linalg.norm(op.apply(x) - ref.last) <= 1e-12 * (1.0 + np.linalg.norm(x))
         assert np.linalg.norm(y - ref.last) <= 1e-12 * (1.0 + np.linalg.norm(x))
         assert np.max(np.abs(inc - ref_inc)) <= 1e-12 * np.sum(ref_inc)
@@ -193,7 +197,7 @@ def test_symmetric_dr_trace_stages():
     x = 3.0 * rng.standard_normal(4)
     tr = dr.apply_with_trace(x)
     assert len(tr.stages) == 3
-    assert np.array_equal(tr.stages[1], dr.half_step(x))
+    assert np.array_equal(tr.stages[1], dr_half(x, sets[0], sets[1]))
     assert np.array_equal(tr.stages[2], dr.apply(x))
 
 
