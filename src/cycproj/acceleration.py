@@ -85,8 +85,8 @@ class SolveConfig:
 
     When `solution` is given, the run stops once ||x_k - solution|| < eps;
     otherwise it stops when the successive change drops below eps.
-    store_every=j keeps every j-th per-iteration record (0 keeps none,
-    which the large benchmarks use); the final state is always available.
+    store_every=j keeps every j-th per-iteration record and the last one
+    (0 keeps none, for the large benchmarks); the final state always stays.
     """
 
     eps: float = 1e-9
@@ -125,6 +125,15 @@ class IterationTrace:
     iterates: list[np.ndarray] = field(default_factory=list)
     dists: Optional[list[float]] = None
     initial_dist: Optional[float] = None
+
+    def keep(self, k: int, t: float, change: float, x: np.ndarray, dist) -> None:
+        """Append the row of update k (dist is kept when dists is a list)."""
+        self.ks.append(k)
+        self.steps.append(t)
+        self.changes.append(change)
+        self.iterates.append(x)
+        if self.dists is not None:
+            self.dists.append(dist)
 
 
 def _is_fixed(gap: float, x: np.ndarray) -> bool:
@@ -214,8 +223,11 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     On a symmetric composite (cycle or Douglas-Rachford pair) the
     gk-affine rule first advances the start point by one application of
     the composite, per its derivation; reported iterations count updates
-    after that.  Stops on the configured criterion, on reaching an exact
-    fixed point, or at max_iter (flagged non-converged).
+    after that.  The run stops at the first of three events: the
+    configured criterion is met (the only stop flagged converged), an
+    update leaves the iterate bitwise unchanged (a stall), or max_iter
+    updates are done.  With store_every > 0 the row of the last update
+    is always stored, whether or not store_every divides its index.
 
     With on_row given, each stored row goes to on_row(k, t_k, change, x_k)
     in the order the trace would keep it, and the trace's per-row lists
@@ -241,83 +253,45 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
         if trace.initial_dist < cfg.eps:
             trace.converged = True
             return trace
+    # One sink for stored rows: on_row, or the trace's own lists.
+    keep = trace.keep if on_row is None else (lambda k, t, c, z, _: on_row(k, t, c, z))
 
-    last_row = None
-    k = 0
-    while k < cfg.max_iter:
+    k, done, dist = 0, False, None
+    for k in range(1, cfg.max_iter + 1):
         if needs_increments:
             y, inc = op.apply_with_increments(x)
         else:
             y = op.apply(x)
-
-        change = None
-        if variant == "unit":
-            t = 1.0
-            x_new = y
+        d = y - x
+        gap_sq = float(d.dot(d))
+        gap = math.sqrt(gap_sq)
+        if variant == "unit" or _is_fixed(gap, x):
+            t, x_new = 1.0, y
+            # For finite values y - x is zero exactly where y equals x.
+            stalled = not d.any()
         else:
-            d = y - x
-            gap_sq = float(d @ d)
-            gap = math.sqrt(gap_sq)
-            if _is_fixed(gap, x):
-                t = 1.0
-                x_new = y
+            if needs_increments:
+                t = _trace_step(gap_sq, inc)
             else:
-                if needs_increments:
-                    t = _trace_step(gap_sq, inc)
-                else:
-                    t = _witness_step(d, x, m, gap_sq)
-                x_new = x + t * d
-            change = abs(t) * gap
-            if not math.isfinite(t):
-                raise NumericalFailureError(k + 1)
-        k += 1
-
-        dist = None
+                t = _witness_step(d, x, m, gap_sq)
+            x_new = x + t * d
+            stalled = np.array_equal(x_new, x)
+        change = measure = abs(t) * gap
         if sol is not None:
-            dist = float(np.linalg.norm(x_new - sol))
-            if not math.isfinite(dist):
-                raise NumericalFailureError(k)
+            e = x_new - sol
+            measure = dist = math.sqrt(e.dot(e))  # as np.linalg.norm computes it
+        if not math.isfinite(measure):
+            raise NumericalFailureError(k)
 
-        if change is None and (sol is None or cfg.store_every > 0):
-            g = x_new - x
-            change = math.sqrt(float(g @ g))
-        if sol is None:
-            if not math.isfinite(change):
-                raise NumericalFailureError(k)
-            done = change < cfg.eps
-        else:
-            done = dist < cfg.eps
-
-        if cfg.store_every > 0:
-            last_row = (k, float(t), float(change), x_new, dist)
-            if k % cfg.store_every == 0:
-                _record(trace, on_row, last_row)
-                last_row = None
-
-        stalled = not done and np.array_equal(x_new, x)
+        done = measure < cfg.eps
+        last = done or stalled or k == cfg.max_iter
+        if cfg.store_every > 0 and (last or k % cfg.store_every == 0):
+            keep(k, t, change, x_new, dist)
         x = x_new
-        if done or stalled:
-            trace.converged = done
+        if last:
             break
-    else:
-        # max_iter exhausted without meeting the criterion
-        trace.converged = False
 
-    if last_row is not None:
-        _record(trace, on_row, last_row)
+    trace.converged = done
     trace.iterations = k
     trace.final = x
     return trace
-
-
-def _record(trace: IterationTrace, on_row, row) -> None:
-    k, t, change, x_new, dist = row
-    if on_row is not None:
-        on_row(k, t, change, x_new)
-        return
-    trace.ks.append(k)
-    trace.steps.append(t)
-    trace.changes.append(change)
-    trace.iterates.append(x_new)
-    if trace.dists is not None:
-        trace.dists.append(dist)

@@ -69,6 +69,8 @@ FEASIBLE_X0_TOL = 1e-12
 # The exact-projection oracle is skipped when constraint rows times ambient
 # dimension exceeds this (it would dominate the run).
 ORACLE_SIZE_LIMIT = 4_000_000
+# angle-sweep refuses a grid of more angles than this (the paper's has 157).
+MAX_THETAS = 100_000
 
 
 class ProblemFileError(ValueError):
@@ -303,13 +305,28 @@ def angle_instance(theta: float, xstar: np.ndarray) -> list:
     return [first, second]
 
 
-def _unit_start(rng: np.random.Generator, dim: int, radius: float = 10.0) -> np.ndarray:
+def _unit_start(key: list, dim: int, radius: float = 10.0) -> np.ndarray:
+    rng = np.random.default_rng(key)
     v = rng.standard_normal(dim)
     nrm = float(np.linalg.norm(v))
     while nrm == 0.0:
         v = rng.standard_normal(dim)
         nrm = float(np.linalg.norm(v))
     return (radius / nrm) * v
+
+
+def _runs(plans: dict, starts: Sequence[np.ndarray], cfg: SolveConfig) -> dict:
+    """Each plan's (trace, seconds) from every start, starts outermost.
+
+    Each call looks up `solve` anew, so a wrapper patched over cli.solve sees it.
+    """
+    runs = {name: [] for name in plans}
+    for x0 in starts:
+        for name, (op, rule) in plans.items():
+            t0 = time.perf_counter()
+            trace = solve(op, rule, x0, cfg)
+            runs[name].append((trace, time.perf_counter() - t0))
+    return runs
 
 
 def angle_sweep(
@@ -327,24 +344,13 @@ def angle_sweep(
     """
     rows = []
     for j, theta in enumerate(thetas):
-        inst_rng = np.random.default_rng([seed, j])
-        xstar = inst_rng.standard_normal(2)
+        xstar = np.random.default_rng([seed, j]).standard_normal(2)
         sets = tuple(angle_instance(theta, xstar))
         plans = _plans(SWEEP_METHODS, lambda mode: CycleOperator(sets, mode))
-        counts = {name: [] for name in SWEEP_METHODS}
-        ok = dict.fromkeys(SWEEP_METHODS, True)
-        for r in range(reps):
-            rep_rng = np.random.default_rng([seed, j, r])
-            x0 = _unit_start(rep_rng, 2)
-            for name, (op, rule) in plans.items():
-                cfg = SolveConfig(
-                    eps=eps, max_iter=max_iter, solution=xstar, store_every=0
-                )
-                tr = solve(op, rule, x0, cfg)
-                counts[name].append(tr.iterations)
-                ok[name] = ok[name] and tr.converged
-        for name in SWEEP_METHODS:
-            arr = np.array(counts[name], dtype=float)
+        starts = [_unit_start([seed, j, r], 2) for r in range(reps)]
+        cfg = SolveConfig(eps=eps, max_iter=max_iter, solution=xstar, store_every=0)
+        for name, runs in _runs(plans, starts, cfg).items():
+            arr = np.array([tr.iterations for tr, _ in runs], dtype=float)
             rows.append(
                 SweepRow(
                     theta=float(theta),
@@ -353,7 +359,7 @@ def angle_sweep(
                     std_iterations=float(arr.std()),
                     reps=reps,
                     seed=seed,
-                    all_converged=ok[name],
+                    all_converged=all(tr.converged for tr, _ in runs),
                 )
             )
     return rows
@@ -375,45 +381,31 @@ def hyperplane_bench(
     eps.  Memory grows as 8*n*m bytes for the matrix itself, which the
     operators share without a copy, plus 8*n*ROW_BLOCK bytes of block
     triangles for each of the cyclic and symmetric operators in use.
+    `methods` are distinct names from BENCH_METHODS, as the CLI checks.
     """
-    for name in methods:
-        if name not in BENCH_METHODS:
-            raise UsageError(f"unknown benchmark method {name!r}")
     inst_rng = np.random.default_rng([seed, m, n])
     a = inst_rng.standard_normal((n, m))
     xstar = inst_rng.standard_normal(m)
     b = a @ xstar
     plans = _plans(methods, lambda mode: CycleOperator.from_rows(a, b, mode))
-
-    results = {name: {"iters": [], "res": [], "time": []} for name in methods}
-    ok = dict.fromkeys(methods, True)
-    for r in range(reps):
-        rep_rng = np.random.default_rng([seed, m, n, r])
-        x0 = _unit_start(rep_rng, m)
-        for name in methods:
-            op, rule = plans[name]
-            cfg = SolveConfig(eps=eps, max_iter=max_iter, store_every=0)
-            t0 = time.perf_counter()
-            tr = solve(op, rule, x0, cfg)
-            elapsed = time.perf_counter() - t0
-            results[name]["iters"].append(tr.iterations)
-            results[name]["res"].append(float(np.linalg.norm(a @ tr.final - b)))
-            results[name]["time"].append(elapsed)
-            ok[name] = ok[name] and tr.converged
+    starts = [_unit_start([seed, m, n, r], m) for r in range(reps)]
+    cfg = SolveConfig(eps=eps, max_iter=max_iter, store_every=0)
 
     rows = []
-    for name in methods:
+    for name, runs in _runs(plans, starts, cfg).items():
         rows.append(
             BenchRow(
                 m=m,
                 n=n,
                 method=name,
-                mean_iterations=float(np.mean(results[name]["iters"])),
-                mean_residual=float(np.mean(results[name]["res"])),
-                mean_time_s=float(np.mean(results[name]["time"])),
+                mean_iterations=float(np.mean([tr.iterations for tr, _ in runs])),
+                mean_residual=float(
+                    np.mean([np.linalg.norm(a @ tr.final - b) for tr, _ in runs])
+                ),
+                mean_time_s=float(np.mean([s for _, s in runs])),
                 reps=reps,
                 seed=seed,
-                all_converged=ok[name],
+                all_converged=all(tr.converged for tr, _ in runs),
             )
         )
     return rows
@@ -437,14 +429,16 @@ def _theta_grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise UsageError("theta step must be positive")
     if hi < lo:
         raise UsageError("theta range is empty")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    last = np.floor((hi - lo) / step + 1e-9)
+    if not last < MAX_THETAS:
+        raise UsageError(f"theta grid has more than {MAX_THETAS} angles")
+    return lo + step * np.arange(int(last) + 1)
 
 
 def cmd_angle_sweep(args) -> int:
     thetas = _theta_grid(args.theta_min, args.theta_max, args.theta_step)
-    rows = angle_sweep(thetas, args.reps, args.eps, args.seed, args.max_iter)
     with _open_out(args.out) as fh:
+        rows = angle_sweep(thetas, args.reps, args.eps, args.seed, args.max_iter)
         write_table(SWEEP_HEADER, rows, fh)
     return 0 if all(r.all_converged for r in rows) else 2
 
@@ -457,12 +451,17 @@ def cmd_hyperplane_bench(args) -> int:
     methods = [name.strip() for name in args.methods.split(",") if name.strip()]
     if not methods:
         raise UsageError("no benchmark methods given")
-    rows = []
-    for m, n in sizes:
-        rows += hyperplane_bench(
-            m, n, args.reps, args.eps, args.seed, methods, args.max_iter
-        )
+    for i, name in enumerate(methods):
+        if name not in BENCH_METHODS:
+            raise UsageError(f"unknown benchmark method {name!r}")
+        if name in methods[:i]:
+            raise UsageError(f"benchmark method {name!r} is given twice")
     with _open_out(args.out) as fh:
+        rows = []
+        for m, n in sizes:
+            rows += hyperplane_bench(
+                m, n, args.reps, args.eps, args.seed, methods, args.max_iter
+            )
         write_table(BENCH_HEADER, rows, fh)
     return 0 if all(r.all_converged for r in rows) else 2
 

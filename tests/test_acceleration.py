@@ -468,6 +468,23 @@ def test_store_every_thinning_and_final_state():
     assert runs[1].steps == [1.0] * k_total
 
 
+def test_stall_stops_unconverged_and_keeps_the_final_row():
+    # The start lies on both lines, so the first update leaves it bitwise
+    # unchanged; the given solution lies elsewhere, so the criterion never holds.
+    op = CycleOperator((XAXIS, DIAGONAL))
+    for rule in (StepRule.unit(), StepRule.gk_affine()):
+        for j in (1, 7):
+            cfg = SolveConfig(
+                eps=1e-9, max_iter=50, solution=np.array([1.0, 0.0]), store_every=j
+            )
+            tr = solve(op, rule, np.zeros(2), cfg)
+            assert not tr.converged
+            assert tr.iterations == 1 < cfg.max_iter
+            assert tr.ks == [1]
+            assert tr.steps == [1.0] and tr.changes == [0.0] and tr.dists == [1.0]
+            assert np.array_equal(tr.final, np.zeros(2))
+
+
 def test_halfspace_cycle_reaches_feasibility():
     rng = np.random.default_rng(58)
     halfspaces, m = strictly_feasible_halfspaces(rng, 4, 3)

@@ -1,8 +1,12 @@
-"""Every exported name resolves."""
+"""Every exported name resolves, and the benchmark's hooks hold."""
 
 import importlib
+from dataclasses import fields
 
 import pytest
+
+import cycproj.cli as cli
+from cycproj.acceleration import IterationTrace
 
 
 @pytest.mark.parametrize(
@@ -16,3 +20,34 @@ def test_all_names_resolve(module):
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
 
+
+def test_benchmark_hooks(monkeypatch):
+    # perfbench times each solve by patching cli.solve, and reads these
+    # row and trace fields; a solve bound elsewhere would go untimed.
+    calls = []
+    real_solve = cli.solve
+
+    def counting_solve(op, rule, x0, cfg, on_row=None):
+        calls.append((id(op), rule.variant, tuple(x0)))
+        return real_solve(op, rule, x0, cfg, on_row)
+
+    monkeypatch.setattr(cli, "solve", counting_solve)
+    rows = cli.angle_sweep([0.5, 1.0], 3, 1e-6, 0, 1000)
+    assert len(calls) == len(set(calls)) == 2 * 3 * len(cli.SWEEP_METHODS)
+    assert len(rows) == 2 * len(cli.SWEEP_METHODS)
+    calls.clear()
+    rows = cli.hyperplane_bench(20, 10, 2, 1e-6, 0, list(cli.BENCH_METHODS), 1000)
+    methods = len(cli.BENCH_METHODS)
+    assert len(calls) == len(set(calls)) == 2 * methods
+    assert len({x0 for _, _, x0 in calls}) == 2
+    assert len(rows) == methods
+
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    sweep = {"theta", "method", "mean_iterations", "std_iterations", "reps",
+             "all_converged"}
+    assert sweep <= names(cli.SweepRow)
+    bench = {"method", "mean_iterations", "mean_residual", "reps", "all_converged"}
+    assert bench <= names(cli.BenchRow)
+    assert {"iterates", "iterations", "final"} <= names(IterationTrace)

@@ -18,6 +18,7 @@ from cycproj.acceleration import SolveConfig, StepRule, solve
 from cycproj.analysis import exact_projection
 from cycproj.cli import (
     BENCH_HEADER,
+    MAX_THETAS,
     SOLVE_METHODS,
     SWEEP_HEADER,
     ProblemFileError,
@@ -246,11 +247,12 @@ def test_flag_type_errors_name_the_type(capsys, command, flag, value, message):
 
 
 @pytest.mark.parametrize("out", [".", "missing/x.csv"])
-def test_unwritable_out_prints_one_error_line(tmp_path, out):
+def test_unwritable_out_prints_one_error_line(tmp_path, monkeypatch, capsys, out):
     target = str(tmp_path / out)  # "." is the directory itself
     problem = write_problem(tmp_path, TWO_LINES)
     sweep = ["angle-sweep", "--theta-min", "0.5", "--theta-max", "0.5", "--reps", "1"]
-    for args in (["solve", problem], sweep):
+    bench = ["hyperplane-bench", "--m", "20", "--reps", "1"]
+    for args in (["solve", problem], sweep, bench):
         cmd = [sys.executable, "-m", "cycproj"] + args + ["--out", target]
         result = run_child(cmd, tmp_path)
         assert result.returncode == 1, args[0]
@@ -258,6 +260,34 @@ def test_unwritable_out_prints_one_error_line(tmp_path, out):
         assert result.stderr.startswith(f"error: cannot write {target}: ")
         assert result.stderr.count("\n") == 1, result.stderr
         assert result.stdout == ""
+    # The sweeps refuse the path before they start any solve.
+    calls = []
+    real_solve = cycproj.cli.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cycproj.cli, "solve", counting_solve)
+    for args in (sweep, bench):
+        assert main(args + ["--out", target]) == 1, args[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: "), args[0]
+        assert calls == [], args[0]
+
+
+@pytest.mark.parametrize("theta_max", ["1e300", "1e7"])
+def test_oversized_theta_grid_is_one_error_line(capsys, theta_max):
+    # Refused before the grid is built: 1e7 at the default step would take 8 GB.
+    assert main(["angle-sweep", "--theta-max", theta_max]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: theta grid has more than {MAX_THETAS} angles\n"
+
+
+def test_theta_grid_cap_boundary():
+    assert len(cycproj.cli._theta_grid(0.0, MAX_THETAS - 1.0, 1.0)) == MAX_THETAS
+    with pytest.raises(UsageError):
+        cycproj.cli._theta_grid(0.0, float(MAX_THETAS), 1.0)
 
 
 def write_rows_problem(tmp_path, name, x0, a, b):
@@ -517,6 +547,13 @@ def test_hyperplane_bench_default_n_and_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["hyperplane-bench", "--methods", ",", "--m", "10"]) == 1
     capsys.readouterr()
+    # A repeated method would write two rows, each averaging twice its reps.
+    # Methods are checked before --out is opened, so its old table stays.
+    table = out.read_bytes()
+    repeated = ["--m", "40", "--reps", "2", "--methods", "cp,cp", "--out", str(out)]
+    assert main(["hyperplane-bench"] + repeated) == 1
+    assert capsys.readouterr().err == "error: benchmark method 'cp' is given twice\n"
+    assert out.read_bytes() == table
     assert main(["hyperplane-bench", "--m", "-3"]) == 1
     capsys.readouterr()
     # m = 1 gives n = m // 2 = 0 rows: a usage error, not a traceback
