@@ -138,7 +138,7 @@ class IterationTrace:
 
 def _is_fixed(gap: float, x: np.ndarray) -> bool:
     """Whether a displacement of length gap leaves x fixed within FIX_TOL."""
-    return gap <= FIX_TOL * (1.0 + float(np.linalg.norm(x)))
+    return gap <= FIX_TOL * (1.0 + math.sqrt(x.dot(x)))
 
 
 def _trace_step(gap_sq: float, inc: np.ndarray) -> float:
@@ -275,7 +275,7 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
             else:
                 t = _witness_step(d, x, m, gap_sq)
             x_new = x + t * d
-            stalled = np.array_equal(x_new, x)
+            stalled = not (x_new != x).any()
         change = measure = abs(t) * gap
         if sol is not None:
             e = x_new - sol

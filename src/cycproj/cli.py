@@ -164,7 +164,7 @@ def parse_problem_file(path: str) -> tuple[np.ndarray, list]:
                 lineno, f"{what} needs {count} numbers, got {len(tokens)}"
             )
         try:
-            vals = np.array([float(t) for t in tokens])
+            vals = np.array(tokens, dtype=float)
         except ValueError:
             raise ProblemFileError(lineno, f"{what} contains a non-number")
         if not np.all(np.isfinite(vals)):
@@ -281,7 +281,8 @@ def cmd_solve(args) -> int:
             def write_row(k, t, change, z):
                 cols = [str(k), _fmt(t, TRACE_DIGITS), _fmt(change, TRACE_DIGITS)]
                 if target is not None:
-                    dist = np.linalg.norm(shadow(z) - target)
+                    e = shadow(z) - target
+                    dist = math.sqrt(e.dot(e))  # as np.linalg.norm computes it
                     cols.append(_fmt(dist, TRACE_DIGITS))
                 fh.write(",".join(cols) + "\n")
 

@@ -15,7 +15,9 @@ block with BLAS.  Besides the rows themselves the kernel keeps one
 ROW_BLOCK x ROW_BLOCK Gram block per block of rows, 8 * n * ROW_BLOCK
 bytes for n rows; the backward sweep of the symmetric cycle reads the
 same blocks transposed.  Its results agree with the row loop to
-roundoff, not bitwise.
+roundoff, not bitwise.  The triangular solves (scipy's dtrsv) are the
+only scipy calls, so scipy is loaded only when a cycle of at least
+ROW_BLOCK (64) hyperplanes builds the kernel.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.linalg.blas import dtrsv
 
 from .geometry import (
     AffineSet,
@@ -93,6 +93,10 @@ class _RowKernel:
         self.a = a
         self.b = b
         self.nsq = nsq
+        # Deferred, so only a cycle that builds this kernel pays scipy's import.
+        from scipy.linalg.blas import dtrsv
+
+        self.trsv = dtrsv
         self.blocks = []
         n = a.shape[0]
         for start in range(0, n, ROW_BLOCK):
@@ -105,7 +109,7 @@ class _RowKernel:
 
     def _block(self, x, start, stop, tri, backward) -> np.ndarray:
         rows = self.a[start:stop]
-        z = dtrsv(tri, self.b[start:stop] - rows @ x, lower=1, trans=int(backward))
+        z = self.trsv(tri, self.b[start:stop] - rows @ x, lower=1, trans=int(backward))
         x += rows.T @ z
         return z * z * self.nsq[start:stop]
 
@@ -275,17 +279,13 @@ def _stacked_constraints(sets: Sequence[AffineSet]) -> tuple[np.ndarray, np.ndar
     return np.vstack(rows), np.concatenate(vals)
 
 
-def _nullspace(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1])
-    return null_space(a, rcond=RANK_CUTOFF)
-
-
-def _row_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal (d, r) basis of the row space of a, the complement of
-    _nullspace(a): singular values above RANK_CUTOFF * sigma_max count."""
-    _, sing, vt = np.linalg.svd(a, full_matrices=False)
-    return vt[:int(np.sum(sing > RANK_CUTOFF * sing.max(initial=0.0)))].T
+def _row_basis(a: np.ndarray, null: bool = False) -> np.ndarray:
+    """Orthonormal (d, r) basis of the row space of a, or with null=True the
+    (d, d - r) basis of its complement, the null space (all of R^d when a
+    has no rows); singular values above RANK_CUTOFF * sigma_max count in r."""
+    _, sing, vt = np.linalg.svd(a, full_matrices=null)
+    r = int(np.sum(sing > RANK_CUTOFF * sing.max(initial=0.0)))
+    return (vt[r:] if null else vt[:r]).T
 
 
 def _principal(u: np.ndarray, v: np.ndarray):
@@ -328,4 +328,4 @@ def fixset_dr(c1: AffineSet, c2: AffineSet) -> Span:
         anchor = y
     r1, r2 = (_row_basis(c.constraint_rows()[0]) for c in (c1, c2))
     _, directions, shared = _principal(r1, r2)
-    return Span(anchor, np.hstack([_nullspace(a), directions[:, shared]]))
+    return Span(anchor, np.hstack([_row_basis(a, null=True), directions[:, shared]]))

@@ -287,10 +287,16 @@ def test_row_space_analysis_matches_projector_stack_route():
     # take the same quantities from dense parallel-subspace bases and the
     # 2d x d projector stack.
     rng = np.random.default_rng(68)
+    cases = [random_mixed_sets(rng) for _ in range(240)]
+    # The same hyperplane twice: stacked rows of rank exactly 1.
+    h = random_hyperplane_through(rng, rng.standard_normal(5))
+    cases.append(([h, h], ["hyperplane", "hyperplane"]))
     seen = dict.fromkeys(["hyperplane", "span", "point", "parallel", "nested"], 0)
     infeasible = 0
-    for _ in range(240):
-        sets, kinds = random_mixed_sets(rng)
+    # Fixed-set pairs whose stacked rows have full column rank (two points:
+    # an empty null space) and pairs whose rows are linearly dependent.
+    full_rank = deficient = 0
+    for sets, kinds in cases:
         for kind in kinds:
             seen[kind] += 1
         report = rate_constant(sets)
@@ -315,4 +321,9 @@ def test_row_space_analysis_matches_projector_stack_route():
         assert fix.rank == basis.shape[1], kinds
         gap = np.max(np.abs(fix.basis @ fix.basis.T - basis @ basis.T))
         assert gap <= 1e-12, kinds
+        a = stacked_rows(sets[:2])[0]
+        rank = a.shape[1] - null_space(a, rcond=NULL_RCOND).shape[1]
+        full_rank += rank == a.shape[1]
+        deficient += rank < a.shape[0]
     assert min(seen.values()) >= 20 and infeasible > 0, (seen, infeasible)
+    assert full_rank > 0 and deficient > 0, (full_rank, deficient)

@@ -31,7 +31,7 @@ from cycproj.cli import (
     parse_problem_file,
 )
 from cycproj.geometry import Hyperplane, Span
-from cycproj.operators import CycleOperator, DouglasRachfordOperator
+from cycproj.operators import ROW_BLOCK, CycleOperator, DouglasRachfordOperator
 
 
 SOURCE_ROOT = Path(cycproj.__file__).resolve().parents[1]
@@ -61,16 +61,19 @@ def read_rows(path):
 
 
 def test_parse_problem_file_roundtrip(tmp_path):
-    text = """\
+    # 17 significant digits name a double exactly; 1e-400 underflows to 0.0.
+    want = np.random.default_rng(5).standard_normal(3) * [1.0, 1e-300, 1e300]
+    digits = " ".join(format(v, ".17g") for v in want)
+    text = f"""\
 # leading comment
 
 dim 3
-x0 1 2 3
-hyperplane 1 0 0 4
+x0 {digits}
+hyperplane 1 0 1e-400 4
 point 0.5 -0.5 0
 """
     x0, sets = parse_problem_file(write_problem(tmp_path, text))
-    assert np.array_equal(x0, [1.0, 2.0, 3.0])
+    assert x0.tobytes() == want.tobytes()
     assert isinstance(sets[0], Hyperplane)
     assert np.array_equal(sets[0].normal, [1.0, 0.0, 0.0])
     assert sets[0].offset == 4.0
@@ -675,6 +678,28 @@ def test_module_and_script_entrypoints(tmp_path):
     )
     assert result.returncode == 1, result.stderr
     assert "error:" in result.stderr
+
+
+def test_scipy_loads_only_with_the_row_kernel(tmp_path):
+    # scipy.linalg is most of the start-up cost; only the row kernel needs it.
+    problem = write_problem(tmp_path, TWO_LINES)
+    code = f"""\
+import sys
+import numpy as np
+from cycproj import CycleOperator, fixset_dr, rate_constant
+from cycproj.cli import main, parse_problem_file
+for method in ("cp", "gk-affine", "dr"):
+    assert main(["solve", {problem!r}, "--method", method, "--out", "t.csv"]) == 0
+_, sets = parse_problem_file({problem!r})
+rate_constant(sets)
+fixset_dr(*sets)
+assert "scipy.linalg" not in sys.modules, "scipy loaded without the row kernel"
+rows = np.random.default_rng(0).standard_normal(({ROW_BLOCK}, 70))
+CycleOperator.from_rows(rows, np.zeros({ROW_BLOCK})).apply(np.ones(70))
+assert "scipy.linalg" in sys.modules, "the row kernel ran without scipy"
+"""
+    result = run_child([sys.executable, "-c", code], tmp_path)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.skipif(
