@@ -17,7 +17,6 @@ from .geometry import (
 from .operators import (
     CycleOperator,
     DouglasRachfordOperator,
-    StageTrace,
     fixset_dr,
 )
 from .acceleration import (
@@ -51,7 +50,6 @@ __all__ = [
     "RateReport",
     "SolveConfig",
     "Span",
-    "StageTrace",
     "StepRule",
     "exact_projection",
     "fixset_dr",

@@ -14,20 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .acceleration import NumericalFailureError
-from .geometry import (
-    ORTHO_REPAIR_TOL,
-    AffineSet,
-    HalfSpace,
-    InfeasibleProblemError,
-    as_vector,
-)
-from .operators import (
-    FEAS_TOL,
-    RANK_CUTOFF,
-    _principal,
-    _row_basis,
-    _stacked_constraints,
-)
+from .geometry import ORTHO_REPAIR_TOL, AffineSet, HalfSpace, _row_basis, as_vector
+from .operators import _nearest_solution, _principal, _stacked_constraints
 
 __all__ = [
     "RateReport",
@@ -55,16 +43,9 @@ def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
             raise TypeError("exact projection requires affine sets")
         if s.dim != x0.shape[0]:
             raise ValueError("sets and x0 must share one ambient dimension")
-    a, b = _stacked_constraints(list(sets))
-    if a.shape[0] == 0:
-        return x0.copy()
-    r = a @ x0 - b
-    y, *_ = np.linalg.lstsq(a, r, rcond=RANK_CUTOFF)
-    p = x0 - y
+    p = _nearest_solution(*_stacked_constraints(list(sets)), x0)
     if not np.all(np.isfinite(p)):
         raise NumericalFailureError(0)
-    if np.linalg.norm(a @ p - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
-        raise InfeasibleProblemError("the sets have no common point")
     return p
 
 

@@ -498,11 +498,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps_default):
+    def common(p, eps_default, max_iter_default=100_000):
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         p.add_argument("--eps", type=_number(float, "eps", 0), default=eps_default)
         p.add_argument(
-            "--max-iter", type=_number(int, "max-iter", 0), default=100_000
+            "--max-iter", type=_number(int, "max-iter", 0), default=max_iter_default
         )
 
     p_solve = sub.add_parser("solve", help="run one method on a problem file")
@@ -526,7 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--theta-step", type=_number(float, "theta-step", 0), default=0.01
     )
     p_sweep.add_argument("--reps", type=_number(int, "reps", 0), default=10)
-    common(p_sweep, eps_default=1e-9)
+    # cp needs about 224,500 iterations at the grid's smallest angle, 0.01.
+    common(p_sweep, eps_default=1e-9, max_iter_default=400_000)
     p_sweep.set_defaults(func=cmd_angle_sweep)
 
     p_bench = sub.add_parser(

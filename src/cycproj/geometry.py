@@ -29,6 +29,9 @@ ORTHO_ACCEPT_TOL = 1e-12
 # Drift up to this bound is repaired by re-orthonormalisation; beyond it
 # construction fails.
 ORTHO_REPAIR_TOL = 1e-8
+# Singular values below RANK_CUTOFF * sigma_max count as zero in null-space
+# and feasibility computations.
+RANK_CUTOFF = 1e-10
 
 
 class DimensionMismatchError(ValueError):
@@ -52,6 +55,15 @@ def _check_dim(dim: int, x: np.ndarray) -> None:
         raise DimensionMismatchError(
             f"set lives in R^{dim}, vector in R^{x.shape[0]}"
         )
+
+
+def _row_basis(a: np.ndarray, null: bool = False) -> np.ndarray:
+    """Orthonormal (d, r) basis of the row space of a, or with null=True the
+    (d, d - r) basis of its complement, the null space (all of R^d when a
+    has no rows); singular values above RANK_CUTOFF * sigma_max count in r."""
+    _, sing, vt = np.linalg.svd(a, full_matrices=null)
+    r = int(np.sum(sing > RANK_CUTOFF * sing.max(initial=0.0)))
+    return (vt[r:] if null else vt[:r]).T
 
 
 def _set_normal_form(s, what: str) -> None:
@@ -159,12 +171,8 @@ class Span:
         return float(np.linalg.norm(x - p))
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        # Full QR completes the basis; trailing columns span the complement.
-        if self.rank == 0:
-            comp = np.eye(self.dim)
-        else:
-            q, _ = np.linalg.qr(self.basis, mode="complete")
-            comp = q[:, self.rank:]
+        # The complement of col(basis); all of R^d (exactly I) at rank 0.
+        comp = _row_basis(self.basis.T, null=True)
         return comp.T, comp.T @ self.anchor
 
 

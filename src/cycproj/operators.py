@@ -2,16 +2,16 @@
 
 Cyclic and symmetric projection cascades over affine sets or half-spaces,
 and Douglas-Rachford compositions of affine pairs.  Every operator
-exposes three evaluation routes: plain apply, apply with a full
-per-stage trace, and apply with accumulated squared stage increments
-(the cheap form the accelerated solvers consume).
+exposes two evaluation routes: plain apply, and apply with accumulated
+squared stage increments (the cheap form the accelerated solvers
+consume).  The row-by-row reference that keeps every stage is
+`stage_trace` in tests/conftest.py.
 
-`apply_with_trace` always projects set by set; that row loop is the
-reference path.  A `CycleOperator` whose sets are all hyperplanes, at
-least ROW_BLOCK of them, runs `apply` and `apply_with_increments` through
-a stacked row kernel instead: one sweep over the rows a_i . x = b_i is
-one Gauss-Seidel step on A A^T (Bjorck & Elfving 1979), computed block by
-block with BLAS.  Besides the rows themselves the kernel keeps one
+A `CycleOperator` whose sets are all hyperplanes, at least ROW_BLOCK of
+them, runs both routes through a stacked row kernel instead of projecting
+set by set: one sweep over the rows a_i . x = b_i is one Gauss-Seidel
+step on A A^T (Bjorck & Elfving 1979), computed block by block with
+BLAS.  Besides the rows themselves the kernel keeps one
 ROW_BLOCK x ROW_BLOCK Gram block per block of rows, 8 * n * ROW_BLOCK
 bytes for n rows; the backward sweep of the symmetric cycle reads the
 same blocks transposed.  Its results agree with the row loop to
@@ -28,54 +28,27 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    RANK_CUTOFF,
     AffineSet,
     HalfSpace,
     Hyperplane,
     InfeasibleProblemError,
     Span,
     _check_dim,
+    _row_basis,
 )
 
 __all__ = [
-    "StageTrace",
     "CycleOperator",
     "DouglasRachfordOperator",
     "fixset_dr",
 ]
 
-# Singular values below RANK_CUTOFF * sigma_max count as zero in null-space
-# and feasibility computations.
-RANK_CUTOFF = 1e-10
 # Feasibility residual above this (scaled) bound marks an empty intersection.
 FEAS_TOL = 1e-6
 # Rows per block of the stacked hyperplane kernel; cycles with fewer
 # hyperplanes than this stay on the row loop.
 ROW_BLOCK = 64
-
-
-@dataclass
-class StageTrace:
-    """Intermediate points of one composite application.
-
-    stages[0] is the input, stages[-1] the final output; stages[i] is the
-    image of the input under the first i constituent maps.
-    """
-
-    stages: list[np.ndarray]
-
-    @property
-    def last(self) -> np.ndarray:
-        return self.stages[-1]
-
-    @property
-    def increments_sq(self) -> np.ndarray:
-        """Squared norms of consecutive stage differences."""
-        return np.array(
-            [
-                float((a - b) @ (a - b))
-                for a, b in zip(self.stages[:-1], self.stages[1:])
-            ]
-        )
 
 
 class _RowKernel:
@@ -145,9 +118,9 @@ class CycleOperator:
 
     When every set is a Hyperplane and there are at least ROW_BLOCK of
     them, `apply` and `apply_with_increments` run the stacked row kernel
-    (see the module docstring); `apply_with_trace` and every other cycle
-    project set by set.  Build large hyperplane cycles with `from_rows`,
-    which shares the row matrix instead of stacking a copy of it.
+    (see the module docstring); every other cycle projects set by set.
+    Build large hyperplane cycles with `from_rows`, which shares the row
+    matrix instead of stacking a copy of it.
     """
 
     sets: tuple
@@ -210,13 +183,6 @@ class CycleOperator:
             x = s.project(x)
         return x
 
-    def apply_with_trace(self, x: np.ndarray) -> StageTrace:
-        stages = [x]
-        for s in self._stage_sets:
-            x = s.project(x)
-            stages.append(x)
-        return StageTrace(stages)
-
     def apply_with_increments(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._kernel is not None:
             return self._kernel.sweep(x, self.symmetric)
@@ -262,15 +228,14 @@ class DouglasRachfordOperator:
             y = _dr_half(y, self.second, self.first)
         return y
 
-    def apply_with_trace(self, x: np.ndarray) -> StageTrace:
-        y = _dr_half(x, self.first, self.second)
-        if not self.symmetric:
-            return StageTrace([x, y])
-        return StageTrace([x, y, _dr_half(y, self.second, self.first)])
-
     def apply_with_increments(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        trace = self.apply_with_trace(x)
-        return trace.last, trace.increments_sq
+        y = _dr_half(x, self.first, self.second)
+        g = x - y
+        if not self.symmetric:
+            return y, np.array([float(g @ g)])
+        z = _dr_half(y, self.second, self.first)
+        h = y - z
+        return z, np.array([float(g @ g), float(h @ h)])
 
 
 def _stacked_constraints(sets: Sequence[AffineSet]) -> tuple[np.ndarray, np.ndarray]:
@@ -279,13 +244,24 @@ def _stacked_constraints(sets: Sequence[AffineSet]) -> tuple[np.ndarray, np.ndar
     return np.vstack(rows), np.concatenate(vals)
 
 
-def _row_basis(a: np.ndarray, null: bool = False) -> np.ndarray:
-    """Orthonormal (d, r) basis of the row space of a, or with null=True the
-    (d, d - r) basis of its complement, the null space (all of R^d when a
-    has no rows); singular values above RANK_CUTOFF * sigma_max count in r."""
-    _, sing, vt = np.linalg.svd(a, full_matrices=null)
-    r = int(np.sum(sing > RANK_CUTOFF * sing.max(initial=0.0)))
-    return (vt[r:] if null else vt[:r]).T
+def _nearest_solution(a: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """x0 - A^+ (A x0 - b), the nearest point to x0 with A x = b (x0 when A
+    has no rows); singular values below RANK_CUTOFF * sigma_max count as 0.
+
+    Raises InfeasibleProblemError when the residual of A^+ b exceeds
+    FEAS_TOL (1 + |b|).  The test reads (A, b) alone, so rounding that
+    grows with |x0| cannot fail it, and a non-finite result, the caller's
+    numerical failure, gets no verdict.
+    """
+    if a.shape[0] == 0:
+        return x0.copy()
+    y, *_ = np.linalg.lstsq(a, a @ x0 - b, rcond=RANK_CUTOFF)
+    p = x0 - y
+    if np.all(np.isfinite(p)):
+        z, *_ = np.linalg.lstsq(a, b, rcond=RANK_CUTOFF)
+        if np.linalg.norm(a @ z - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
+            raise InfeasibleProblemError("the sets have no common point")
+    return p
 
 
 def _principal(u: np.ndarray, v: np.ndarray):
@@ -317,15 +293,7 @@ def fixset_dr(c1: AffineSet, c2: AffineSet) -> Span:
     if c1.dim != c2.dim:
         raise ValueError("both sets must share one ambient dimension")
     a, b = _stacked_constraints([c1, c2])
-    if a.shape[0] == 0:
-        anchor = np.zeros(c1.dim)
-    else:
-        y, *_ = np.linalg.lstsq(a, b, rcond=RANK_CUTOFF)
-        if np.linalg.norm(a @ y - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
-            raise InfeasibleProblemError(
-                "the two sets have no common point; the fixed set is empty"
-            )
-        anchor = y
+    anchor = _nearest_solution(a, b, np.zeros(c1.dim))
     r1, r2 = (_row_basis(c.constraint_rows()[0]) for c in (c1, c2))
     _, directions, shared = _principal(r1, r2)
     return Span(anchor, np.hstack([_row_basis(a, null=True), directions[:, shared]]))

@@ -3,13 +3,17 @@
 Oracles here deliberately avoid the library's own formulas: projections
 come from least squares or KKT solves, line-search minimisers from grid
 scans with parabolic refinement, and subspace samples from scipy null
-spaces.
+spaces.  `stage_trace` is the row-by-row reference for the composites'
+fast routes.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
 
 from cycproj.geometry import DimensionMismatchError, HalfSpace, Hyperplane, Span
+from cycproj.operators import DouglasRachfordOperator
 
 
 def orthonormal_columns(rng, d, r):
@@ -95,6 +99,46 @@ def dr_half(x, a, b):
     """One averaged double reflection 0.5 (x + R_b R_a x), R_s = 2 P_s - I."""
     r = 2.0 * a.project(x) - x
     return 0.5 * (x + (2.0 * b.project(r) - r))
+
+
+@dataclass
+class StageTrace:
+    """Every intermediate point of one composite application.
+
+    stages[0] is the input, stages[-1] the output; stages[i] is the image
+    of the input under the first i constituent maps.
+    """
+
+    stages: list
+
+    @property
+    def last(self):
+        return self.stages[-1]
+
+    @property
+    def increments_sq(self):
+        """Squared norms of consecutive stage differences."""
+        return np.array(
+            [float((a - b) @ (a - b)) for a, b in zip(self.stages[:-1], self.stages[1:])]
+        )
+
+
+def stage_trace(op, x):
+    """The row-by-row reference application of a composite, stage by stage.
+
+    A CycleOperator projects set by set, never through the stacked row
+    kernel: forward through its sets and, in mode "symmetric", back
+    through all but the last.  A DouglasRachfordOperator takes one
+    averaged double reflection per stage.
+    """
+    if isinstance(op, DouglasRachfordOperator):
+        y = dr_half(x, op.first, op.second)
+        tail = [dr_half(y, op.second, op.first)] if op.symmetric else []
+        return StageTrace([x, y] + tail)
+    stages = [x]
+    for s in op.sets + (tuple(reversed(op.sets[:-1])) if op.symmetric else ()):
+        stages.append(s.project(stages[-1]))
+    return StageTrace(stages)
 
 
 def contraction_factors(trace, eps):

@@ -31,6 +31,7 @@ from conftest import (
     random_affine_instance,
     sample_point,
     scan_line_min,
+    stage_trace,
     strictly_feasible_halfspaces,
     total_sq,
     violating_point,
@@ -78,7 +79,7 @@ def test_frozen_linear_step_example():
     t = step_oracle(x, qx, np.zeros(2))
     assert t == 3.5 / 2.5
     # the traced step of the same cycle agrees
-    tr = CycleOperator((XAXIS, DIAGONAL)).apply_with_trace(x)
+    tr = stage_trace(CycleOperator((XAXIS, DIAGONAL)), x)
     assert step_gk_affine(x, qx, tr.increments_sq) == t
     # and from a literal dense scan of ||x + s(qx - x)|| at 1e-6 resolution
     ss = np.arange(0.0, 2.0, 1e-6)
@@ -90,7 +91,7 @@ def test_frozen_linear_step_example():
 def test_frozen_affine_step_example():
     op = CycleOperator((XAXIS, DIAGONAL))
     x = np.array([2.0, 1.0])
-    tr = op.apply_with_trace(x)
+    tr = stage_trace(op, x)
     assert np.array_equal(tr.last, [1.0, 1.0])
     assert step_gk_affine(x, tr.last, tr.increments_sq) == 2.0
     assert step_oracle(x, tr.last, np.zeros(2)) == 2.0
@@ -102,7 +103,7 @@ def test_affine_step_equals_oracle_step():
         sets, _ = random_affine_instance(rng)
         op = CycleOperator(tuple(sets))
         x = 4.0 * rng.standard_normal(op.dim)
-        tr = op.apply_with_trace(x)
+        tr = stage_trace(op, x)
         if total_sq(tr) < 1e-20:
             continue
         m = lstsq_projection(x, sets)
@@ -117,7 +118,7 @@ def test_step_is_exact_line_search():
         sets, _ = random_affine_instance(rng)
         op = CycleOperator(tuple(sets))
         x = 4.0 * rng.standard_normal(op.dim)
-        tr = op.apply_with_trace(x)
+        tr = stage_trace(op, x)
         target = lstsq_projection(x, sets)
         t = step_gk_affine(x, tr.last, tr.increments_sq)
         assert abs(t - scan_line_min(x, tr.last - x, target)) <= 1e-8 * max(
@@ -146,7 +147,7 @@ def test_solve_steps_match_traced_step_on_row_kernel():
         assert tr.converged
         assert tr.ks == list(range(1, tr.iterations + 1))
         for x, t in zip([tr.start] + tr.iterates[:-1], tr.steps):
-            ref = op.apply_with_trace(x)
+            ref = stage_trace(op, x)
             t_ref = step_gk_affine(x, ref.last, ref.increments_sq)
             err = abs(t - t_ref) * math.sqrt(total_sq(ref))
             assert err <= 1e-12 * np.linalg.norm(x)
@@ -263,7 +264,7 @@ def test_fqne_cycle_step_bounds_and_descent():
         halfspaces, m = strictly_feasible_halfspaces(rng, 5, n)
         cycle = CycleOperator(tuple(halfspaces))
         x = violating_point(rng, halfspaces)
-        tr = cycle.apply_with_trace(x)
+        tr = stage_trace(cycle, x)
         if total_sq(tr) < 1e-16:
             continue
         t = step_gk_affine(x, tr.last, tr.increments_sq)
@@ -289,7 +290,7 @@ def test_trace_step_at_least_half_property(seed):
     sets, _ = random_affine_instance(rng)
     op = CycleOperator(tuple(sets))
     x = 4.0 * rng.standard_normal(op.dim)
-    tr = op.apply_with_trace(x)
+    tr = stage_trace(op, x)
     if total_sq(tr) < 1e-16:
         return
     assert step_gk_affine(x, tr.last, tr.increments_sq) >= 0.5

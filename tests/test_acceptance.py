@@ -31,6 +31,7 @@ from conftest import (
     random_affine_instance,
     sample_point,
     scan_line_min,
+    stage_trace,
     strictly_feasible_halfspaces,
     total_sq,
     translate_check,
@@ -62,7 +63,7 @@ def test_criterion_01_trace_step_matches_witness_step():
         sets, _ = random_affine_instance(rng, d=d, n=n)
         op = CycleOperator(tuple(sets))
         x = 4.0 * rng.standard_normal(d)
-        tr = op.apply_with_trace(x)
+        tr = stage_trace(op, x)
         if total_sq(tr) < 1e-18:
             continue
         t = step_gk_affine(x, tr.last, tr.increments_sq)
@@ -84,7 +85,7 @@ def test_criterion_02_linear_reduction():
         sets, _ = random_affine_instance(rng, linear=True)
         op = CycleOperator(tuple(sets))
         x = 4.0 * rng.standard_normal(op.dim)
-        tr = op.apply_with_trace(x)
+        tr = stage_trace(op, x)
         if total_sq(tr) < 1e-18:
             continue
         t_linear = step_oracle(x, tr.last, np.zeros(op.dim))
@@ -103,7 +104,7 @@ def test_criterion_03_line_search_optimality():
         x = 5.0 * rng.standard_normal(op.dim)
         pm = exact_projection(x, sets)
         for _ in range(20):
-            tr = op.apply_with_trace(x)
+            tr = stage_trace(op, x)
             gap = math.sqrt(total_sq(tr))
             if gap <= 1e-13 * (1.0 + np.linalg.norm(x)):
                 break
@@ -219,7 +220,7 @@ def test_criterion_07_halfspace_step_lower_bound():
         halfspaces, m = strictly_feasible_halfspaces(rng, 5, n)
         x = violating_point(rng, halfspaces)
         cycle = CycleOperator(tuple(halfspaces))
-        tr = cycle.apply_with_trace(x)
+        tr = stage_trace(cycle, x)
         if total_sq(tr) < 1e-18:
             continue
         bound = step_gk_affine(x, tr.last, tr.increments_sq)
@@ -228,7 +229,7 @@ def test_criterion_07_halfspace_step_lower_bound():
 
         boundaries = [Hyperplane(h.normal, h.offset) for h in halfspaces]
         op = CycleOperator(tuple(boundaries))
-        tr2 = op.apply_with_trace(x)
+        tr2 = stage_trace(op, x)
         if total_sq(tr2) < 1e-18:
             continue
         bound2 = step_gk_affine(x, tr2.last, tr2.increments_sq)

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+import cycproj
 import cycproj.cli as cli
 from cycproj.acceleration import IterationTrace
 
@@ -19,6 +20,32 @@ def test_all_names_resolve(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_package_exports_are_pinned():
+    # An export added or removed shows up as an edit here.
+    assert cycproj.__all__ == [
+        "AffineSet",
+        "CycleOperator",
+        "DimensionMismatchError",
+        "DouglasRachfordOperator",
+        "HalfSpace",
+        "Hyperplane",
+        "InfeasibleProblemError",
+        "IterationTrace",
+        "NumericalFailureError",
+        "RateReport",
+        "SolveConfig",
+        "Span",
+        "StepRule",
+        "exact_projection",
+        "fixset_dr",
+        "friederichs_cosine",
+        "rate_constant",
+        "solve",
+        "step_gk_affine",
+        "step_oracle",
+    ]
 
 
 def test_benchmark_hooks(monkeypatch):

@@ -23,6 +23,7 @@ from cycproj.cli import (
     SWEEP_HEADER,
     ProblemFileError,
     UsageError,
+    _build_parser,
     angle_instance,
     angle_sweep,
     build_operator,
@@ -36,7 +37,6 @@ from cycproj.operators import ROW_BLOCK, CycleOperator, DouglasRachfordOperator
 
 SOURCE_ROOT = Path(cycproj.__file__).resolve().parents[1]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 TWO_LINES = """\
@@ -392,6 +392,16 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert main(["solve", infeasible]) == 3
     capsys.readouterr()
 
+    # Consistency is read from the constraints alone, so rounding that
+    # grows with |x0| does not make two crossing lines "infeasible".
+    lines = "dim 2\nx0 1e10 3\nhyperplane 0.6 0.8 0\n"
+    crossing = write_problem(tmp_path, lines + "hyperplane 1 -1 0\n", "cross.txt")
+    assert main(["solve", crossing, "--out", str(out)]) == 0
+    assert "converged" in capsys.readouterr().err
+    parallel = write_problem(tmp_path, lines + "hyperplane 0.6 0.8 1\n", "par.txt")
+    assert main(["solve", parallel]) == 3
+    assert "error: the sets have no common point" in capsys.readouterr().err
+
     three = write_problem(
         tmp_path,
         TWO_LINES + "hyperplane 1 1 0\n",
@@ -585,16 +595,26 @@ def test_all_converged_is_per_method():
     assert [r.all_converged for r in rows] == [False, True]
 
 
+def test_max_iter_defaults():
+    # angle-sweep's limit covers cp at the paper's smallest angle, 0.01,
+    # where it needs about 224,500 iterations.
+    parser = _build_parser()
+    for argv, want in ((["solve", "p.txt"], 100_000), (["angle-sweep"], 400_000),
+                       (["hyperplane-bench"], 100_000)):
+        assert parser.parse_args(argv).max_iter == want
+
+
 def test_experiment_scripts(tmp_path):
+    # The README's experiment commands, in child processes.
     args = ["--theta-min", "0.5", "--theta-max", "0.6", "--theta-step", "0.1",
             "--reps", "1", "--out", "sweep.csv"]
-    sweep = [sys.executable, str(SCRIPTS / "angle_sweep.py")]
+    sweep = [sys.executable, "-m", "cycproj", "angle-sweep"]
     result = run_child(sweep + args, tmp_path)
     assert result.returncode == 0, result.stderr
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == SWEEP_HEADER and len(lines) == 1 + 2 * 2
 
-    bench = [sys.executable, str(SCRIPTS / "hyperplane_bench.py")]
+    bench = [sys.executable, "-m", "cycproj", "hyperplane-bench"]
     result = run_child(bench + ["--m", "40,60", "--reps", "1"], tmp_path)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()

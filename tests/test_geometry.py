@@ -12,7 +12,13 @@ from cycproj.geometry import (
     Span,
 )
 
-from conftest import random_affine_instance, sample_point, span_form, translate_check
+from conftest import (
+    orthonormal_columns,
+    random_affine_instance,
+    sample_point,
+    span_form,
+    translate_check,
+)
 
 IDEM_TOL = 1e-12
 ORTH_TOL = 1e-10
@@ -73,6 +79,23 @@ def test_span_projection_matches_lstsq_oracle():
 def test_singleton_span_projects_to_anchor():
     s = Span(np.array([2.0, -1.0, 0.5]), np.zeros((3, 0)))
     assert np.array_equal(s.project(np.array([9.0, 9.0, 9.0])), s.anchor)
+
+
+def test_span_constraint_rows_complete_the_basis():
+    # Orthonormal rows orthogonal to the basis, d - rank of them, met by
+    # every point of the span; a point (rank 0) gets exactly the identity.
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 5, 9):
+        for r in range(d + 1):
+            s = Span(rng.standard_normal(d), orthonormal_columns(rng, d, r))
+            rows, vals = s.constraint_rows()
+            assert rows.shape == (d - s.rank, d)
+            assert np.allclose(rows @ rows.T, np.eye(d - r), rtol=0, atol=1e-12)
+            assert np.allclose(rows @ s.basis, 0.0, rtol=0, atol=1e-12)
+            p = sample_point(rng, s)
+            assert np.allclose(rows @ p, vals, rtol=0, atol=1e-10 * (1 + np.abs(p).max()))
+            if r == 0:
+                assert np.array_equal(rows, np.eye(d))
 
 
 def test_halfspace_projection():

@@ -24,6 +24,7 @@ from conftest import (
     random_hyperplane_through,
     sample_point,
     shifted,
+    stage_trace,
     strictly_feasible_halfspaces,
 )
 
@@ -32,7 +33,7 @@ def test_single_set_trace():
     h = Hyperplane(np.array([1.0, 1.0]), 1.0)
     op = CycleOperator((h,))
     x = np.array([3.0, 4.0])
-    tr = op.apply_with_trace(x)
+    tr = stage_trace(op, x)
     assert len(tr.stages) == 2
     assert np.array_equal(tr.stages[0], x)
     assert np.array_equal(tr.stages[1], h.project(x))
@@ -45,12 +46,12 @@ def test_trace_last_matches_sequential_projection_oracle():
     op = CycleOperator(tuple(sets))
     x = 4.0 * rng.standard_normal(4)
     want = sets[2].project(sets[1].project(sets[0].project(x)))
-    tr = op.apply_with_trace(x)
+    tr = stage_trace(op, x)
     assert np.array_equal(tr.last, want)
 
 
 def test_three_evaluation_routes_agree_bitwise():
-    # Below ROW_BLOCK hyperplanes every route is the row loop.
+    # Below ROW_BLOCK hyperplanes every cycle route is the row loop.
     rng = np.random.default_rng(32)
     rows_rng = np.random.default_rng(47)
     short = ROW_BLOCK - 1
@@ -63,18 +64,28 @@ def test_three_evaluation_routes_agree_bitwise():
             (CycleOperator.from_rows(a, b, mode), rows_rng.standard_normal(2 * short)),
         ):
             plain = op.apply(x)
-            traced = op.apply_with_trace(x)
+            traced = stage_trace(op, x)
             fast, inc = op.apply_with_increments(x)
             assert np.array_equal(plain, traced.last)
             assert np.array_equal(plain, fast)
             assert np.allclose(inc, traced.increments_sq, rtol=1e-12, atol=1e-300)
+    # A Douglas-Rachford increment is its stage difference's squared norm.
+    for symmetric in (False, True):
+        sets, _ = random_affine_instance(rng, d=6, n=2)
+        op = DouglasRachfordOperator(sets[0], sets[1], symmetric)
+        x = 3.0 * rng.standard_normal(6)
+        traced = stage_trace(op, x)
+        fast, inc = op.apply_with_increments(x)
+        assert np.array_equal(op.apply(x), traced.last)
+        assert np.array_equal(fast, traced.last)
+        assert np.array_equal(inc, traced.increments_sq)
 
 
 def test_fixed_input_keeps_all_stages_equal():
     rng = np.random.default_rng(33)
     sets, p = random_affine_instance(rng, d=5, n=3)
     op = CycleOperator(tuple(sets), mode="symmetric")
-    tr = op.apply_with_trace(p)
+    tr = stage_trace(op, p)
     for stage in tr.stages:
         assert np.linalg.norm(stage - p) <= 1e-10 * (1.0 + np.linalg.norm(p))
 
@@ -84,7 +95,7 @@ def test_telescoping_sum_of_increments():
     sets, _ = random_affine_instance(rng, d=6, n=4)
     op = CycleOperator(tuple(sets))
     x = 4.0 * rng.standard_normal(6)
-    tr = op.apply_with_trace(x)
+    tr = stage_trace(op, x)
     diffs = [a - b for a, b in zip(tr.stages[:-1], tr.stages[1:])]
     total = np.sum(diffs, axis=0)
     assert np.linalg.norm(total - (tr.stages[0] - tr.last)) <= 1e-12 * (
@@ -99,7 +110,7 @@ def test_symmetric_cycle_unfolds_to_cyclic():
     unfolded = CycleOperator(tuple(list(sets) + list(reversed(sets[:-1]))))
     x = 3.0 * rng.standard_normal(5)
     assert np.array_equal(sym.apply(x), unfolded.apply(x))
-    tr = sym.apply_with_trace(x)
+    tr = stage_trace(sym, x)
     assert len(tr.stages) == 2 * len(sets)
 
 
@@ -119,7 +130,7 @@ def test_translation_reduction_to_linear_cycle():
 @pytest.mark.parametrize("n", [64, 65, 128, 129, 300])
 @pytest.mark.parametrize("mode", ["cyclic", "symmetric"])
 def test_row_kernel_matches_row_loop(n, mode):
-    # The row loop (apply_with_trace) is the reference; the kernel sums in
+    # The row loop (stage_trace) is the reference; the kernel sums in
     # another order, so the bounds are float64 roundoff fixed beforehand.
     rng = np.random.default_rng([46, n])
     for d in (n // 2, 2 * n):
@@ -128,7 +139,7 @@ def test_row_kernel_matches_row_loop(n, mode):
         op = CycleOperator.from_rows(a, b, mode)
         assert op._kernel is not None
         x = 5.0 * rng.standard_normal(d)
-        ref = op.apply_with_trace(x)
+        ref = stage_trace(op, x)
         ref_inc = ref.increments_sq
         y, inc = op.apply_with_increments(x)
         assert inc.shape == ref_inc.shape == (
@@ -195,7 +206,7 @@ def test_symmetric_dr_trace_stages():
     sets, _ = random_affine_instance(rng, d=4, n=2)
     dr = DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
     x = 3.0 * rng.standard_normal(4)
-    tr = dr.apply_with_trace(x)
+    tr = stage_trace(dr, x)
     assert len(tr.stages) == 3
     assert np.array_equal(tr.stages[1], dr_half(x, sets[0], sets[1]))
     assert np.array_equal(tr.stages[2], dr.apply(x))
@@ -339,7 +350,7 @@ def test_fqne_cycle_of_halfspaces():
     cycle = CycleOperator(tuple(halfspaces))
     assert np.linalg.norm(cycle.apply(m) - m) <= 1e-14
     x = 5.0 * rng.standard_normal(4)
-    tr = cycle.apply_with_trace(x)
+    tr = stage_trace(cycle, x)
     assert len(tr.stages) == 4
     fast, inc = cycle.apply_with_increments(x)
     assert np.array_equal(fast, tr.last)
