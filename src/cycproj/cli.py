@@ -255,6 +255,7 @@ def cmd_solve(args) -> int:
     # in one error line; numpy's warnings would only repeat it.
     with np.errstate(all="ignore"):
         x0, sets = parse_problem_file(args.problem)
+        op, rule = build_operator(sets, method)
         worst = max(s.residual(x0) for s in sets)
         bound = FEASIBLE_X0_TOL * (1.0 + float(np.linalg.norm(x0)))
         # An overflowing start reads inf on both sides; it is not feasible.
@@ -265,7 +266,6 @@ def cmd_solve(args) -> int:
             return 0
 
         target = _solution_estimate(x0, sets)
-        op, rule = build_operator(sets, method)
         cfg = SolveConfig(
             eps=args.eps,
             max_iter=args.max_iter,
@@ -381,7 +381,7 @@ def hyperplane_bench(
     construction.  Runs stop when the change between sweeps drops below
     eps.  Memory grows as 8*n*m bytes for the matrix itself, which the
     operators share without a copy, plus 8*n*ROW_BLOCK bytes of block
-    triangles for each of the cyclic and symmetric operators in use.
+    inverses for each of the cyclic and symmetric operators in use.
     `methods` are distinct names from BENCH_METHODS, as the CLI checks.
     """
     inst_rng = np.random.default_rng([seed, m, n])

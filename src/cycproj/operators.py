@@ -12,12 +12,10 @@ them, runs both routes through a stacked row kernel instead of projecting
 set by set: one sweep over the rows a_i . x = b_i is one Gauss-Seidel
 step on A A^T (Bjorck & Elfving 1979), computed block by block with
 BLAS.  Besides the rows themselves the kernel keeps one
-ROW_BLOCK x ROW_BLOCK Gram block per block of rows, 8 * n * ROW_BLOCK
+ROW_BLOCK x ROW_BLOCK inverse per block of rows, 8 * n * ROW_BLOCK
 bytes for n rows; the backward sweep of the symmetric cycle reads the
 same blocks transposed.  Its results agree with the row loop to
-roundoff, not bitwise.  The triangular solves (scipy's dtrsv) are the
-only scipy calls, so scipy is loaded only when a cycle of at least
-ROW_BLOCK (64) hyperplanes builds the kernel.
+roundoff, not bitwise.
 """
 
 from __future__ import annotations
@@ -55,34 +53,34 @@ class _RowKernel:
     """Hyperplanes a_i . x = b_i stacked as rows, swept block by block.
 
     For a block B of rows, the cyclic projections onto them move x by
-    A_B^T z, where (D + L) z = b_B - A_B x and D + L is the lower
-    triangle of A_B A_B^T; the squared stage increments are z_i^2 |a_i|^2.
-    Going backward through the block solves with the upper triangle
-    (L^T + D) instead.  The diagonal holds the rows' own |a_i|^2, so each
-    division matches the row projection's.
+    A_B^T z, where z = W (b_B - A_B x) and W inverts the lower triangle T of
+    A_B A_B^T; the squared stage increments are z_i^2 |a_i|^2.  Going
+    backward through the block takes W^T instead.  W is stored as
+    S (S T S)^-1 S with S = diag(1/|a_i|).  S T S, the triangle of the unit
+    rows' cosines, has a unit diagonal; inverting it instead of T keeps
+    rows whose norms spread over many decades as accurate as the row loop.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, nsq: np.ndarray):
         self.a = a
         self.b = b
         self.nsq = nsq
-        # Deferred, so only a cycle that builds this kernel pays scipy's import.
-        from scipy.linalg.blas import dtrsv
-
-        self.trsv = dtrsv
         self.blocks = []
         n = a.shape[0]
         for start in range(0, n, ROW_BLOCK):
             stop = min(start + ROW_BLOCK, n)
             rows = a[start:stop]
-            # Only the lower triangle is read, in Fortran order as BLAS wants.
-            tri = np.asfortranarray(rows @ rows.T)
-            np.fill_diagonal(tri, nsq[start:stop])
-            self.blocks.append((start, stop, tri))
+            s = 1.0 / np.sqrt(nsq[start:stop])
+            u = rows * s[:, None]
+            unit = np.tril(u @ u.T)
+            np.fill_diagonal(unit, 1.0)
+            inv = np.tril(s[:, None] * np.linalg.inv(unit) * s)
+            self.blocks.append((start, stop, inv))
 
-    def _block(self, x, start, stop, tri, backward) -> np.ndarray:
+    def _block(self, x, start, stop, inv, backward) -> np.ndarray:
         rows = self.a[start:stop]
-        z = self.trsv(tri, self.b[start:stop] - rows @ x, lower=1, trans=int(backward))
+        r = self.b[start:stop] - rows @ x
+        z = inv.T @ r if backward else inv @ r
         x += rows.T @ z
         return z * z * self.nsq[start:stop]
 
@@ -92,16 +90,17 @@ class _RowKernel:
         _check_dim(self.a.shape[1], x)
         n = self.a.shape[0]
         inc = np.empty(2 * n - 1 if symmetric else n)
-        for start, stop, tri in self.blocks:
-            inc[start:stop] = self._block(x, start, stop, tri, False)
+        for start, stop, inv in self.blocks:
+            inc[start:stop] = self._block(x, start, stop, inv, False)
         if symmetric:
             # Rows n-2 .. 0; row i's increment is stage 2n-2-i of 2n-1.
-            for start, stop, tri in reversed(self.blocks):
+            # The leading block of a triangle's inverse inverts its leading block.
+            for start, stop, inv in reversed(self.blocks):
                 if stop == n:
                     stop -= 1
-                    tri = tri[:-1, :-1]
+                    inv = inv[:-1, :-1]
                 if start < stop:
-                    w = self._block(x, start, stop, tri, True)
+                    w = self._block(x, start, stop, inv, True)
                     inc[2 * n - 1 - stop:2 * n - 1 - start] = w[::-1]
         return x, inc
 
@@ -251,13 +250,14 @@ def _nearest_solution(a: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarra
     Raises InfeasibleProblemError when the residual of A^+ b exceeds
     FEAS_TOL (1 + |b|).  The test reads (A, b) alone, so rounding that
     grows with |x0| cannot fail it, and a non-finite result, the caller's
-    numerical failure, gets no verdict.
+    numerical failure, gets no verdict.  At full row rank every b is
+    consistent, so the test is skipped there.
     """
     if a.shape[0] == 0:
         return x0.copy()
-    y, *_ = np.linalg.lstsq(a, a @ x0 - b, rcond=RANK_CUTOFF)
+    y, _, rank, _ = np.linalg.lstsq(a, a @ x0 - b, rcond=RANK_CUTOFF)
     p = x0 - y
-    if np.all(np.isfinite(p)):
+    if rank < a.shape[0] and np.all(np.isfinite(p)):
         z, *_ = np.linalg.lstsq(a, b, rcond=RANK_CUTOFF)
         if np.linalg.norm(a @ z - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
             raise InfeasibleProblemError("the sets have no common point")

@@ -85,6 +85,25 @@ def test_exact_projection_keeps_feasible_start():
     )
 
 
+def test_exact_projection_full_row_rank_is_consistent():
+    # A x = b with 200 independent rows is solvable for every b.  With
+    # singular values down to 1/9e9 the residual of A^+ b is rounding near
+    # the FEAS_TOL scale, and a residual test on it called draws 3 and 5
+    # infeasible.  The min-norm solution is good to about cond * eps.
+    cond = 9e9
+    sv = np.logspace(0.0, -np.log10(cond), 200)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+        v, _ = np.linalg.qr(rng.standard_normal((400, 200)))
+        a = (u * sv) @ v.T
+        b = 100.0 * (u[:, -1] + 1e-3 * rng.standard_normal(200))
+        p = exact_projection(np.zeros(400), [Hyperplane(a[i], b[i]) for i in range(200)])
+        want = v @ ((u.T @ b) / sv)
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(p - want) <= 10 * cond * eps * np.linalg.norm(want)
+
+
 def test_exact_projection_input_validation():
     h = Hyperplane(np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ValueError):

@@ -185,6 +185,11 @@ def test_solve_feasible_start_writes_empty_trace(tmp_path, capsys):
     assert code == 0
     assert out.read_text() == "k,t_k,successive_change\n"
     assert "after 0 iterations" in capsys.readouterr().err
+    # A feasible start does not skip the method's own check of the sets.
+    lines = "dim 2\nx0 0 0\nhyperplane 1 0 0\nhyperplane 0 1 0\nhyperplane 1 1 0\n"
+    problem = write_problem(tmp_path, lines)
+    assert main(["solve", problem, "--method", "dr", "--out", str(out)]) == 1
+    assert "error: dr methods need exactly two constraint sets" in capsys.readouterr().err
 
 
 def test_solve_store_every_zero_keeps_header_only(tmp_path, capsys):
@@ -700,23 +705,33 @@ def test_module_and_script_entrypoints(tmp_path):
     assert "error:" in result.stderr
 
 
-def test_scipy_loads_only_with_the_row_kernel(tmp_path):
-    # scipy.linalg is most of the start-up cost; only the row kernel needs it.
-    problem = write_problem(tmp_path, TWO_LINES)
+def test_scipy_never_loads(tmp_path):
+    # The package depends on numpy alone, the row kernel included.
+    pair = write_problem(tmp_path, TWO_LINES)
+    rng = np.random.default_rng(70)
+    a = rng.standard_normal((70, 140))
+    p = rng.standard_normal(140)
+    system = write_rows_problem(tmp_path, "system.txt", rng.standard_normal(140), a, a @ p)
     code = f"""\
 import sys
 import numpy as np
 from cycproj import CycleOperator, fixset_dr, rate_constant
 from cycproj.cli import main, parse_problem_file
 for method in ("cp", "gk-affine", "dr"):
-    assert main(["solve", {problem!r}, "--method", method, "--out", "t.csv"]) == 0
-_, sets = parse_problem_file({problem!r})
+    assert main(["solve", {pair!r}, "--method", method, "--out", "t.csv"]) == 0
+_, sets = parse_problem_file({pair!r})
 rate_constant(sets)
 fixset_dr(*sets)
-assert "scipy.linalg" not in sys.modules, "scipy loaded without the row kernel"
-rows = np.random.default_rng(0).standard_normal(({ROW_BLOCK}, 70))
-CycleOperator.from_rows(rows, np.zeros({ROW_BLOCK})).apply(np.ones(70))
-assert "scipy.linalg" in sys.modules, "the row kernel ran without scipy"
+for method in ("cp", "accel-sym-cp"):
+    assert main(["solve", {system!r}, "--method", method, "--out", "t.csv"]) == 0
+_, sets = parse_problem_file({system!r})
+assert CycleOperator(tuple(sets))._kernel is not None
+rows = np.random.default_rng(0).standard_normal(({ROW_BLOCK} + 1, 70))
+op = CycleOperator.from_rows(rows, np.zeros({ROW_BLOCK} + 1), "symmetric")
+assert op._kernel is not None
+op.apply_with_increments(np.ones(70))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
     result = run_child([sys.executable, "-c", code], tmp_path)
     assert result.returncode == 0, result.stderr
