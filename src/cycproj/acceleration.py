@@ -194,11 +194,10 @@ def _validate_rule(op, rule: StepRule) -> None:
         isinstance(s, HalfSpace) for s in op.sets
     )
     if v == "gk-affine":
-        symmetric_dr = isinstance(op, DouglasRachfordOperator) and op.symmetric
-        if not (affine_cycle or symmetric_dr):
+        if not (affine_cycle or isinstance(op, DouglasRachfordOperator)):
             raise ValueError(
                 "gk-affine rule drives a CycleOperator of affine sets"
-                " or a symmetric DouglasRachfordOperator"
+                " or a DouglasRachfordOperator"
             )
     elif v == "gk-linear":
         if not (affine_cycle and not op.symmetric):

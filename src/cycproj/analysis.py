@@ -14,7 +14,14 @@ from typing import Sequence
 import numpy as np
 
 from .acceleration import NumericalFailureError
-from .geometry import ORTHO_REPAIR_TOL, AffineSet, HalfSpace, _row_basis, as_vector
+from .geometry import (
+    AffineSet,
+    _affine_dim,
+    _check_dim,
+    _orthonormal,
+    _row_basis,
+    as_vector,
+)
 from .operators import _nearest_solution, _principal, _stacked_constraints
 
 __all__ = [
@@ -38,12 +45,8 @@ def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
     x0 = as_vector(x0)
     if not sets:
         raise ValueError("need at least one set")
-    for s in sets:
-        if isinstance(s, HalfSpace):
-            raise TypeError("exact projection requires affine sets")
-        if s.dim != x0.shape[0]:
-            raise ValueError("sets and x0 must share one ambient dimension")
-    p = _nearest_solution(*_stacked_constraints(list(sets)), x0)
+    _check_dim(_affine_dim(sets), x0)
+    p = _nearest_solution(*_stacked_constraints(sets), x0)
     if not np.all(np.isfinite(p)):
         raise NumericalFailureError(0)
     return p
@@ -52,30 +55,24 @@ def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
 def _as_basis(u) -> np.ndarray:
     """Coerce a basis given as a (d, r) array or a list of vectors."""
     if isinstance(u, np.ndarray) and u.ndim == 2:
-        b = np.asarray(u, dtype=float)
-    else:
-        vecs = [as_vector(v) for v in u]
-        if not vecs:
-            raise ValueError("basis must contain at least the ambient dimension info")
-        b = np.column_stack(vecs)
-    if b.shape[1] > 0:
-        drift = float(np.max(np.abs(b.T @ b - np.eye(b.shape[1]))))
-        if drift > ORTHO_REPAIR_TOL:
-            raise ValueError(f"basis is not orthonormal (drift {drift:.3e})")
-    return b
+        return np.asarray(u, dtype=float)
+    vecs = [as_vector(v) for v in u]
+    if not vecs:
+        raise ValueError("basis must contain at least the ambient dimension info")
+    return np.column_stack(vecs)
 
 
 def friederichs_cosine(u, v) -> float:
     """Cosine of the Friederichs angle between two linear subspaces.
 
-    Takes orthonormal bases (as (d, r) arrays or vector lists) and returns
-    the largest principal cosine left once the directions the subspaces
-    share (sine at most RANK_CUTOFF) are set aside, clamped to [0, 1].
-    Subspaces that coincide or contain one another yield 0, matching the
-    supremum over an empty set.
+    Takes orthonormal bases (as (d, r) arrays or vector lists), checked
+    and repaired as a Span's basis is, and returns the largest principal
+    cosine left once the directions the subspaces share (sine at most
+    RANK_CUTOFF) are set aside, clamped to [0, 1].  Subspaces that
+    coincide or contain one another yield 0, matching the supremum over
+    an empty set.
     """
-    ub = _as_basis(u)
-    vb = _as_basis(v)
+    ub, vb = (_orthonormal(_as_basis(b)) for b in (u, v))
     if ub.shape[0] != vb.shape[0]:
         raise ValueError("both subspaces must share one ambient dimension")
     cos, _, shared = _principal(ub, vb)
@@ -114,9 +111,7 @@ def rate_constant(sets: Sequence[AffineSet]) -> RateReport:
     sets = list(sets)
     if len(sets) < 2:
         raise ValueError("need at least two sets")
-    for s in sets:
-        if isinstance(s, HalfSpace):
-            raise TypeError("rate analysis requires affine sets")
+    _affine_dim(sets)
     cosines = []
     for i in range(len(sets) - 1):
         rows = _row_basis(sets[i].constraint_rows()[0])

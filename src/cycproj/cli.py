@@ -237,7 +237,7 @@ def build_operator(sets: Sequence, method: str):
             return CycleOperator(tuple(sets), mode=composite)
         if len(sets) != 2:
             raise UsageError("dr methods need exactly two constraint sets")
-        return DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
+        return DouglasRachfordOperator(sets[0], sets[1])
 
     return _plans([method], build)[method]
 
@@ -306,14 +306,10 @@ def angle_instance(theta: float, xstar: np.ndarray) -> list:
     return [first, second]
 
 
-def _unit_start(key: list, dim: int, radius: float = 10.0) -> np.ndarray:
-    rng = np.random.default_rng(key)
-    v = rng.standard_normal(dim)
-    nrm = float(np.linalg.norm(v))
-    while nrm == 0.0:
-        v = rng.standard_normal(dim)
-        nrm = float(np.linalg.norm(v))
-    return (radius / nrm) * v
+def _unit_start(key: list, dim: int) -> np.ndarray:
+    """A random start of norm 10, drawn from the seed sequence key."""
+    v = np.random.default_rng(key).standard_normal(dim)
+    return (10.0 / float(np.linalg.norm(v))) * v
 
 
 def _runs(plans: dict, starts: Sequence[np.ndarray], cfg: SolveConfig) -> dict:

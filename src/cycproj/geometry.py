@@ -57,6 +57,34 @@ def _check_dim(dim: int, x: np.ndarray) -> None:
         )
 
 
+def _common_dim(sets) -> int:
+    """The ambient dimension that a nonempty sequence of sets shares."""
+    if any(s.dim != sets[0].dim for s in sets):
+        raise DimensionMismatchError("all sets must share one ambient dimension")
+    return sets[0].dim
+
+
+def _affine_dim(sets) -> int:
+    """_common_dim of sets that must be affine: a HalfSpace is a TypeError."""
+    if any(isinstance(s, HalfSpace) for s in sets):
+        raise TypeError("affine sets required, not a HalfSpace")
+    return _common_dim(sets)
+
+
+def _orthonormal(basis: np.ndarray) -> np.ndarray:
+    """A (d, r) basis as is, or QR-repaired if its Gram drift from I exceeds
+    ORTHO_ACCEPT_TOL; ValueError if non-finite or drifting past ORTHO_REPAIR_TOL."""
+    if not np.all(np.isfinite(basis)):
+        raise ValueError("basis must be finite")
+    if basis.shape[1] > 0:
+        drift = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
+        if drift > ORTHO_REPAIR_TOL:
+            raise ValueError(f"basis is not orthonormal (drift {drift:.3e})")
+        if drift > ORTHO_ACCEPT_TOL:
+            basis, _ = np.linalg.qr(basis)
+    return basis
+
+
 def _row_basis(a: np.ndarray, null: bool = False) -> np.ndarray:
     """Orthonormal (d, r) basis of the row space of a, or with null=True the
     (d, d - r) basis of its complement, the null space (all of R^d when a
@@ -133,19 +161,10 @@ class Span:
                 f"basis must be (d, r) with d = {anchor.shape[0]}, "
                 f"got shape {basis.shape}"
             )
-        if not np.all(np.isfinite(anchor)) or not np.all(np.isfinite(basis)):
-            raise ValueError("span data must be finite")
-        if basis.shape[1] > 0:
-            gram = basis.T @ basis
-            drift = float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
-            if drift > ORTHO_REPAIR_TOL:
-                raise ValueError(
-                    f"span basis is not orthonormal (drift {drift:.3e})"
-                )
-            if drift > ORTHO_ACCEPT_TOL:
-                basis, _ = np.linalg.qr(basis)
+        if not np.all(np.isfinite(anchor)):
+            raise ValueError("span anchor must be finite")
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _orthonormal(basis))
 
     @property
     def dim(self) -> int:

@@ -21,18 +21,19 @@ roundoff, not bitwise.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .geometry import (
     RANK_CUTOFF,
     AffineSet,
-    HalfSpace,
     Hyperplane,
     InfeasibleProblemError,
     Span,
+    _affine_dim,
     _check_dim,
+    _common_dim,
     _row_basis,
 )
 
@@ -132,10 +133,7 @@ class CycleOperator:
             raise ValueError("cycle needs at least one set")
         if self.mode not in ("cyclic", "symmetric"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        dim = sets[0].dim
-        for s in sets:
-            if s.dim != dim:
-                raise ValueError("all sets must share one ambient dimension")
+        _common_dim(sets)
         if self.symmetric:
             stage_sets = sets + tuple(reversed(sets[:-1]))
         else:
@@ -192,48 +190,39 @@ class CycleOperator:
 
 
 def _dr_half(x: np.ndarray, a: AffineSet, b: AffineSet) -> np.ndarray:
-    # Averaged double reflection: 0.5 (x + R_b R_a x), R_s = 2 P_s - I.
     r = 2.0 * a.project(x) - x
     return 0.5 * (x + (2.0 * b.project(r) - r))
 
 
 @dataclass(frozen=True)
 class DouglasRachfordOperator:
-    """Averaged double reflection through an ordered pair of affine sets.
+    """Symmetric Douglas-Rachford composite of an ordered pair of affine sets.
 
-    The plain operator reflects through `first`, then `second`, then
-    averages with the input.  With symmetric=True the reversed-order
-    operator is applied on top, giving a self-adjoint composite in the
-    linear case.
+    One application takes two averaged double reflections, 0.5 (x + R_b R_a x)
+    with R_s = 2 P_s - I: the first through `first` and then `second`, the
+    second back through `second` and then `first`.  The composite is
+    self-adjoint in the linear case; `symmetric` is always True.  The
+    one-sided half step alone is `dr_half` in tests/conftest.py.
     """
 
     first: AffineSet
     second: AffineSet
-    symmetric: bool = False
+    symmetric: ClassVar[bool] = True
 
     def __post_init__(self):
-        if isinstance(self.first, HalfSpace) or isinstance(self.second, HalfSpace):
-            raise TypeError("Douglas-Rachford reflections require affine sets")
-        if self.first.dim != self.second.dim:
-            raise ValueError("both sets must share one ambient dimension")
+        _affine_dim((self.first, self.second))
 
     @property
     def dim(self) -> int:
         return self.first.dim
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        y = _dr_half(x, self.first, self.second)
-        if self.symmetric:
-            y = _dr_half(y, self.second, self.first)
-        return y
+        return _dr_half(_dr_half(x, self.first, self.second), self.second, self.first)
 
     def apply_with_increments(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = _dr_half(x, self.first, self.second)
-        g = x - y
-        if not self.symmetric:
-            return y, np.array([float(g @ g)])
         z = _dr_half(y, self.second, self.first)
-        h = y - z
+        g, h = x - y, y - z
         return z, np.array([float(g @ g), float(h @ h)])
 
 
@@ -288,12 +277,9 @@ def fixset_dr(c1: AffineSet, c2: AffineSet) -> Span:
     returned Span stores as a dense d x (d - rank A) basis.  Raises
     InfeasibleProblemError when the pair has empty intersection.
     """
-    if isinstance(c1, HalfSpace) or isinstance(c2, HalfSpace):
-        raise TypeError("fixed-set computation requires affine sets")
-    if c1.dim != c2.dim:
-        raise ValueError("both sets must share one ambient dimension")
+    dim = _affine_dim((c1, c2))
     a, b = _stacked_constraints([c1, c2])
-    anchor = _nearest_solution(a, b, np.zeros(c1.dim))
+    anchor = _nearest_solution(a, b, np.zeros(dim))
     r1, r2 = (_row_basis(c.constraint_rows()[0]) for c in (c1, c2))
     _, directions, shared = _principal(r1, r2)
     return Span(anchor, np.hstack([_row_basis(a, null=True), directions[:, shared]]))

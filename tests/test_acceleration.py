@@ -168,7 +168,7 @@ def test_solve_steps_are_the_step_functions_bitwise():
     linear, _ = random_affine_instance(rng, d=5, n=3, linear=True)
     x0 = 4.0 * rng.standard_normal(6)
     m = exact_projection(x0, sets)
-    dr = DouglasRachfordOperator(pair[0], pair[1], symmetric=True)
+    dr = DouglasRachfordOperator(pair[0], pair[1])
     runs = [
         (CycleOperator(tuple(sets)), StepRule.gk_affine(), None),
         (CycleOperator(tuple(sets), mode="symmetric"), StepRule.gk_affine(), None),
@@ -238,7 +238,7 @@ def test_dr_step_matches_line_search():
     rng = np.random.default_rng(53)
     for _ in range(10):
         sets, _ = random_affine_instance(rng, d=5, n=2)
-        dr = DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
+        dr = DouglasRachfordOperator(sets[0], sets[1])
         fix = fixset_dr(sets[0], sets[1])
         z = 4.0 * rng.standard_normal(5)
         full, inc = dr.apply_with_increments(z)
@@ -371,9 +371,6 @@ def test_solve_rejects_unfixed_oracle_witness():
 def test_solve_rule_operator_pairing_errors():
     cyc = CycleOperator((XAXIS, DIAGONAL))
     x0 = np.array([1.0, 2.0])
-    plain_dr = DouglasRachfordOperator(XAXIS, DIAGONAL)
-    with pytest.raises(ValueError):
-        solve(plain_dr, StepRule.gk_affine(), x0, SolveConfig())
     offset = CycleOperator((Hyperplane(np.array([1.0, 0.0]), 5.0),))
     with pytest.raises(ValueError):
         solve(offset, StepRule.gk_linear(), x0, SolveConfig())
@@ -414,7 +411,7 @@ def test_solve_dr_shadow_limit():
     rng = np.random.default_rng(56)
     sets, _ = random_affine_instance(rng, d=5, n=2)
     x0 = 5.0 * rng.standard_normal(5)
-    dr = DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
+    dr = DouglasRachfordOperator(sets[0], sets[1])
     tr = solve(dr, StepRule.gk_affine(), x0, SolveConfig(eps=1e-12))
     assert tr.converged
     # the iteration starts from the once-advanced point

@@ -179,7 +179,7 @@ def test_criterion_06_symmetric_dr_dominance_and_shadows():
     for _ in range(30):
         sets, _ = random_affine_instance(rng, d=10, n=2)
         x0 = 5.0 * rng.standard_normal(10)
-        op = DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
+        op = DouglasRachfordOperator(sets[0], sets[1])
         pfix = fixset_dr(sets[0], sets[1]).project(x0)
         pm = exact_projection(x0, sets)
         accel = solve(

@@ -140,6 +140,9 @@ def test_friederichs_orthogonal_and_contained_cases():
     assert friederichs_cosine(e[:, :1], e[:, :2]) == 0.0
     assert friederichs_cosine(e[:, :2], e[:, :1]) == 0.0
     assert friederichs_cosine(e[:, :2], e[:, :2]) == 0.0
+    # identical lines, one basis 5e-9 off unit length: repaired as a Span's
+    # basis is, so they still coincide
+    assert friederichs_cosine(np.array([[1 + 5e-9], [0.0]]), e[:2, :1]) == 0.0
 
 
 def test_friederichs_shared_direction_is_deflated():
@@ -180,6 +183,9 @@ def test_friederichs_matches_principal_angle_oracle():
 def test_friederichs_input_validation():
     with pytest.raises(ValueError):
         friederichs_cosine(np.ones((3, 2)), np.eye(3)[:, :1])  # not orthonormal
+    # LinAlgError is a ValueError too; the basis check must name the cause
+    with pytest.raises(ValueError, match="finite"):
+        friederichs_cosine(np.full((3, 1), np.nan), np.eye(3)[:, :1])
     with pytest.raises(ValueError):
         friederichs_cosine(np.eye(3)[:, :1], np.eye(4)[:, :1])
 
@@ -227,6 +233,8 @@ def test_rate_constant_input_validation():
         rate_constant([h])
     with pytest.raises(TypeError):
         rate_constant([h, HalfSpace(np.array([0.0, 1.0]), 0.0)])
+    with pytest.raises(ValueError, match="ambient dimension"):
+        rate_constant([h, h, Hyperplane(np.array([1.0, 0.0, 0.0]), 0.0)])
 
 
 def test_rate_bound_shapes_and_monotonicity():

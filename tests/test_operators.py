@@ -1,5 +1,7 @@
 """Composite operator traces, Douglas-Rachford structure, fixed sets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,15 +72,14 @@ def test_three_evaluation_routes_agree_bitwise():
             assert np.array_equal(plain, fast)
             assert np.allclose(inc, traced.increments_sq, rtol=1e-12, atol=1e-300)
     # A Douglas-Rachford increment is its stage difference's squared norm.
-    for symmetric in (False, True):
-        sets, _ = random_affine_instance(rng, d=6, n=2)
-        op = DouglasRachfordOperator(sets[0], sets[1], symmetric)
-        x = 3.0 * rng.standard_normal(6)
-        traced = stage_trace(op, x)
-        fast, inc = op.apply_with_increments(x)
-        assert np.array_equal(op.apply(x), traced.last)
-        assert np.array_equal(fast, traced.last)
-        assert np.array_equal(inc, traced.increments_sq)
+    sets, _ = random_affine_instance(rng, d=6, n=2)
+    op = DouglasRachfordOperator(sets[0], sets[1])
+    x = 3.0 * rng.standard_normal(6)
+    traced = stage_trace(op, x)
+    fast, inc = op.apply_with_increments(x)
+    assert np.array_equal(op.apply(x), traced.last)
+    assert np.array_equal(fast, traced.last)
+    assert np.array_equal(inc, traced.increments_sq)
 
 
 def test_fixed_input_keeps_all_stages_equal():
@@ -230,25 +231,31 @@ def test_dr_definition_matches_reflection_composition():
     sets, _ = random_affine_instance(rng, d=4, n=2)
     dr = DouglasRachfordOperator(sets[0], sets[1])
     x = 3.0 * rng.standard_normal(4)
+    # Reflect through first, then second, and average; then the reverse.
     r = 2.0 * sets[0].project(x) - x
-    want = 0.5 * (x + (2.0 * sets[1].project(r) - r))
+    y = 0.5 * (x + (2.0 * sets[1].project(r) - r))
+    r = 2.0 * sets[1].project(y) - y
+    want = 0.5 * (y + (2.0 * sets[0].project(r) - r))
     assert np.array_equal(dr.apply(x), want)
 
 
 def test_symmetric_dr_trace_stages():
     rng = np.random.default_rng(38)
     sets, _ = random_affine_instance(rng, d=4, n=2)
-    dr = DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
+    dr = DouglasRachfordOperator(sets[0], sets[1])
     x = 3.0 * rng.standard_normal(4)
     tr = stage_trace(dr, x)
     assert len(tr.stages) == 3
     assert np.array_equal(tr.stages[1], dr_half(x, sets[0], sets[1]))
     assert np.array_equal(tr.stages[2], dr.apply(x))
+    # symmetric is a class constant, not a constructor argument
+    assert [f.name for f in dataclasses.fields(dr)] == ["first", "second"]
+    assert dr.symmetric is True
 
 
 def test_dr_pythagoras_on_fixed_set():
     # affine pairs give the equality case of firm quasi-nonexpansivity for
-    # the one-sided composite; the symmetric composite contracts strictly
+    # the one-sided half step; the symmetric composite contracts strictly
     # off its fixed set so only the inequality survives
     rng = np.random.default_rng(39)
     for _ in range(10):
@@ -258,12 +265,11 @@ def test_dr_pythagoras_on_fixed_set():
         y = sample_point(rng, fix) if fix.rank else fix.anchor
         rhs = np.linalg.norm(x - y) ** 2
 
-        dr = DouglasRachfordOperator(sets[0], sets[1])
-        tx = dr.apply(x)
+        tx = dr_half(x, sets[0], sets[1])
         lhs = np.linalg.norm(tx - y) ** 2 + np.linalg.norm(x - tx) ** 2
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)
 
-        sym = DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
+        sym = DouglasRachfordOperator(sets[0], sets[1])
         sx = sym.apply(x)
         lhs = np.linalg.norm(sx - y) ** 2 + np.linalg.norm(x - sx) ** 2
         assert lhs <= rhs + 1e-9 * max(1.0, rhs)
@@ -273,15 +279,15 @@ def test_linear_dr_adjoint_structure():
     rng = np.random.default_rng(40)
     for _ in range(10):
         sets, _ = random_affine_instance(rng, d=5, n=2, linear=True)
-        forward = DouglasRachfordOperator(sets[0], sets[1])
-        backward = DouglasRachfordOperator(sets[1], sets[0])
         x = rng.standard_normal(5)
         y = rng.standard_normal(5)
-        # the reversed-order composite is the adjoint of the forward one
-        assert abs(forward.apply(x) @ y - x @ backward.apply(y)) <= 1e-10 * max(
+        # the reversed-order half step is the adjoint of the forward one
+        forward = dr_half(x, sets[0], sets[1])
+        backward = dr_half(y, sets[1], sets[0])
+        assert abs(forward @ y - x @ backward) <= 1e-10 * max(
             1.0, np.linalg.norm(x) * np.linalg.norm(y)
         )
-        sym = DouglasRachfordOperator(sets[0], sets[1], symmetric=True)
+        sym = DouglasRachfordOperator(sets[0], sets[1])
         assert abs(sym.apply(x) @ y - x @ sym.apply(y)) <= 1e-10 * max(
             1.0, np.linalg.norm(x) * np.linalg.norm(y)
         )
@@ -296,7 +302,7 @@ def test_fixset_two_lines_through_origin_is_origin():
     assert fix.rank == 0
     assert np.linalg.norm(fix.anchor) <= 1e-12
 
-    dr = DouglasRachfordOperator(l1, l2, symmetric=True)
+    dr = DouglasRachfordOperator(l1, l2)
     grid = np.linspace(-2.0, 2.0, 9)
     for u in grid:
         for v in grid:
@@ -317,7 +323,7 @@ def test_fixset_contains_only_fixed_points():
     # two generic hyperplanes: 3-dim intersection direction, trivial
     # orthogonal part
     assert fix.rank == 3
-    dr = DouglasRachfordOperator(c1, c2, symmetric=True)
+    dr = DouglasRachfordOperator(c1, c2)
     for _ in range(10):
         q = sample_point(rng, fix)
         assert np.linalg.norm(dr.apply(q) - q) <= 1e-10 * (1.0 + np.linalg.norm(q))
@@ -337,7 +343,7 @@ def test_fixset_orthogonal_component():
     c2 = Span(np.zeros(3), e2[:, None])
     fix = fixset_dr(c1, c2)
     assert fix.rank == 1
-    dr = DouglasRachfordOperator(c1, c2, symmetric=True)
+    dr = DouglasRachfordOperator(c1, c2)
     q = fix.anchor + fix.basis @ np.array([1.7])
     assert np.linalg.norm(dr.apply(q) - q) <= 1e-12
     # that direction is the shared normal direction e3
