@@ -148,7 +148,7 @@ def _trace_step(gap_sq: float, inc: np.ndarray) -> float:
 
 def _witness_step(d: np.ndarray, x: np.ndarray, m, gap_sq: float) -> float:
     # <x - Qx, x - m> / |x - Qx|^2 with d = Qx - x.
-    return -float(d @ (x - m)) / gap_sq
+    return -float(d.dot(x - m)) / gap_sq
 
 
 def _displacement(x, qx) -> tuple[np.ndarray, np.ndarray, float]:
@@ -266,8 +266,8 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
         gap = math.sqrt(gap_sq)
         if variant == "unit" or _is_fixed(gap, x):
             t, x_new = 1.0, y
-            # For finite values y - x is zero exactly where y equals x.
-            stalled = not d.any()
+            # Finite y - x is zero exactly where y equals x; gap_sq may underflow.
+            stalled = gap_sq == 0.0 and not d.any()
         else:
             if needs_increments:
                 t = _trace_step(gap_sq, inc)

@@ -277,14 +277,14 @@ def cmd_solve(args) -> int:
         with _open_out(args.out) as fh:
             dist_column = "" if target is None else ",dist_to_solution"
             fh.write(f"k,t_k,successive_change{dist_column}\n")
+            line = "%d" + f",%.{TRACE_DIGITS}g" * (2 if target is None else 3) + "\n"
 
             def write_row(k, t, change, z):
-                cols = [str(k), _fmt(t, TRACE_DIGITS), _fmt(change, TRACE_DIGITS)]
+                cols = (k, t, change)
                 if target is not None:
                     e = shadow(z) - target
-                    dist = math.sqrt(e.dot(e))  # as np.linalg.norm computes it
-                    cols.append(_fmt(dist, TRACE_DIGITS))
-                fh.write(",".join(cols) + "\n")
+                    cols += (math.sqrt(e.dot(e)),)  # as np.linalg.norm computes it
+                fh.write(line % cols)
 
             trace = solve(op, rule, x0, cfg, on_row=write_row)
     _summary(method, trace.converged, trace.iterations, shadow(trace.final))

@@ -77,8 +77,10 @@ def _orthonormal(basis: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(basis)):
         raise ValueError("basis must be finite")
     if basis.shape[1] > 0:
-        drift = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
-        if drift > ORTHO_REPAIR_TOL:
+        # An overflowing Gram matrix reads inf or nan, which the check rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
+        if not drift <= ORTHO_REPAIR_TOL:
             raise ValueError(f"basis is not orthonormal (drift {drift:.3e})")
         if drift > ORTHO_ACCEPT_TOL:
             basis, _ = np.linalg.qr(basis)
@@ -126,12 +128,12 @@ class Hyperplane:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         _check_dim(self.dim, x)
-        return x - ((self.normal @ x - self.offset) / self._nsq) * self.normal
+        return x - ((float(self.normal.dot(x)) - self.offset) / self._nsq) * self.normal
 
     def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Projection plus squared distance moved, sharing one residual pass."""
         _check_dim(self.dim, x)
-        c = (self.normal @ x - self.offset) / self._nsq
+        c = (float(self.normal.dot(x)) - self.offset) / self._nsq
         return x - c * self.normal, c * c * self._nsq
 
     def residual(self, x: np.ndarray) -> float:
@@ -211,14 +213,14 @@ class HalfSpace:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         _check_dim(self.dim, x)
-        slack = self.normal @ x - self.offset
+        slack = float(self.normal.dot(x)) - self.offset
         if slack <= 0.0:
             return x
         return x - (slack / self._nsq) * self.normal
 
     def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         _check_dim(self.dim, x)
-        slack = self.normal @ x - self.offset
+        slack = float(self.normal.dot(x)) - self.offset
         if slack <= 0.0:
             return x, 0.0
         c = slack / self._nsq

@@ -223,7 +223,7 @@ class DouglasRachfordOperator:
         y = _dr_half(x, self.first, self.second)
         z = _dr_half(y, self.second, self.first)
         g, h = x - y, y - z
-        return z, np.array([float(g @ g), float(h @ h)])
+        return z, np.array([float(g.dot(g)), float(h.dot(h))])
 
 
 def _stacked_constraints(sets: Sequence[AffineSet]) -> tuple[np.ndarray, np.ndarray]:

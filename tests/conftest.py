@@ -79,6 +79,20 @@ def shifted(s, v):
     return type(s)(s.normal, s.offset + float(s.normal @ v))
 
 
+def textbook_projection(s, x):
+    """x - ((a @ x - b) / (a @ a)) a onto a Hyperplane {a @ x = b}, or onto a
+    HalfSpace {a @ x <= b} where its slack a @ x - b is positive (x itself
+    otherwise), with the squared distance moved, c^2 (a @ a) for the
+    coefficient c; the projectors must match it bit for bit.
+    """
+    a, b = s.normal, s.offset
+    slack = a @ x - b
+    if isinstance(s, HalfSpace) and slack <= 0.0:
+        return x, 0.0
+    c = slack / (a @ a)
+    return x - c * a, c * c * (a @ a)
+
+
 def translate_check(x, s, y):
     """Project via the translation identity P_S(x) = P_{S-y}(x-y) + y.
 

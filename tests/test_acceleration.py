@@ -482,6 +482,19 @@ def test_stall_stops_unconverged_and_keeps_the_final_row():
             assert tr.steps == [1.0] and tr.changes == [0.0] and tr.dists == [1.0]
             assert np.array_equal(tr.final, np.zeros(2))
 
+    # The first move, 1e-170 along the x-axis, squares to 0.0 but is no
+    # stall; the second update leaves the iterate bitwise unchanged.
+    op = CycleOperator((Hyperplane(np.array([1.0, 0.0]), 1e-170),))
+    for rule in (StepRule.unit(), StepRule.gk_affine()):
+        for j, ks in ((1, [1, 2]), (7, [2])):
+            cfg = SolveConfig(
+                eps=1e-9, max_iter=50, solution=np.array([1.0, 0.0]), store_every=j
+            )
+            tr = solve(op, rule, np.zeros(2), cfg)
+            assert not tr.converged
+            assert tr.iterations == 2 and tr.ks == ks
+            assert np.array_equal(tr.final, np.array([1e-170, 0.0]))
+
 
 def test_halfspace_cycle_reaches_feasibility():
     rng = np.random.default_rng(58)

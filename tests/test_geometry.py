@@ -17,6 +17,7 @@ from conftest import (
     random_affine_instance,
     sample_point,
     span_form,
+    textbook_projection,
     translate_check,
 )
 
@@ -118,6 +119,23 @@ def test_halfspace_result_is_feasible():
         assert h.normal @ p <= h.offset + 1e-12 * (1.0 + abs(h.offset))
 
 
+def test_projectors_are_bitwise_the_textbook_formula():
+    # The projectors compute the coefficient as a Python float, which is the
+    # same IEEE arithmetic as the formula's numpy scalars: every bit agrees.
+    rng = np.random.default_rng(2007)
+    for d in (2, 400, 2000):
+        for scale in (1e-150, 1e-100, 1e-50, 1.0, 1e50, 1e100, 1e150):
+            a, p, x = scale * rng.standard_normal((3, d))
+            for kind in (Hyperplane, HalfSpace):
+                s = kind(a, float(a @ p))
+                # x and its mirror through p have slacks of opposite signs.
+                for z in (x, 2.0 * p - x):
+                    want, want_gap = textbook_projection(s, z)
+                    got, gap = s.project_with_gap(z)
+                    assert np.array_equal(s.project(z), want)
+                    assert np.array_equal(got, want) and gap == want_gap
+
+
 def test_dimension_mismatch_raises():
     h = Hyperplane(np.array([1.0, 1.0]), 1.0)
     with pytest.raises(DimensionMismatchError):
@@ -135,6 +153,11 @@ def test_span_orthonormality_repair_and_rejection():
 
     with pytest.raises(ValueError):
         Span(np.zeros(3), base + 1e-3 * np.ones((3, 2)))
+    # A finite basis whose Gram matrix overflows (to inf, or to inf - inf =
+    # nan off the diagonal) is rejected without a numpy overflow warning.
+    for basis in ([[1e200], [0.0]], [[1e200, 1e200], [1e200, -1e200]]):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Span(np.zeros(2), np.array(basis))
 
 
 def test_zero_normal_rejected():

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import cycproj
+from cycproj.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 SOURCE_ROOT = Path(cycproj.__file__).resolve().parents[1]
@@ -144,6 +145,29 @@ def test_cli_outputs_match_golden(tmp_path):
     assert sorted(got) == sorted(golden["cases"])
     for name, want in golden["cases"].items():
         assert got[name] == want, name
+
+
+def test_store_every_thins_the_solve_rows(tmp_path, capsys):
+    # Each solve case again at --store-every 3 and 0: the same run (exit code
+    # and stderr), with the header, every third row and the last row kept at
+    # 3, and the header alone at 0.  A run that fails writes no file.
+    for name, argv, _ in cases(problem_files(tmp_path)):
+        if argv[0] != "solve":
+            continue
+        runs = {}
+        for every in ("1", "3", "0"):
+            out = tmp_path / f"{name}-{every}.csv"
+            code = main(argv[:-1] + [every, "--out", str(out)])
+            lines = out.read_text().splitlines() if out.exists() else None
+            runs[every] = (code, capsys.readouterr().err, lines)
+        code, err, lines = runs["1"]
+        if lines is None:
+            assert runs["3"] == runs["0"] == runs["1"], name
+            continue
+        n = len(lines) - 1
+        kept = [row for k, row in enumerate(lines[1:], 1) if k % 3 == 0 or k == n]
+        assert runs["3"] == (code, err, lines[:1] + kept), name
+        assert runs["0"] == (code, err, lines[:1]), name
 
 
 if __name__ == "__main__":
