@@ -255,37 +255,45 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     # One sink for stored rows: on_row, or the trace's own lists.
     keep = trace.keep if on_row is None else (lambda k, t, c, z, _: on_row(k, t, c, z))
 
-    k, done, dist = 0, False, None
+    eps, store_every = cfg.eps, cfg.store_every
+    step = op.apply_with_increments if needs_increments else op.apply
+    lazy = sol is not None and variant == "unit"  # Qx - x read by stored rows only
+    k, done, dist = 0, False, trace.initial_dist
     for k in range(1, cfg.max_iter + 1):
         if needs_increments:
-            y, inc = op.apply_with_increments(x)
+            y, inc = step(x)
         else:
-            y = op.apply(x)
-        d = y - x
-        gap_sq = float(d.dot(d))
-        gap = math.sqrt(gap_sq)
-        if variant == "unit" or _is_fixed(gap, x):
-            t, x_new = 1.0, y
-            # Finite y - x is zero exactly where y equals x; gap_sq may underflow.
-            stalled = gap_sq == 0.0 and not d.any()
-        else:
-            if needs_increments:
-                t = _trace_step(gap_sq, inc)
-            else:
-                t = _witness_step(d, x, m, gap_sq)
-            x_new = x + t * d
-            stalled = not (x_new != x).any()
-        change = measure = abs(t) * gap
+            y = step(x)
+        t, x_new = 1.0, y
+        if not lazy:
+            d = y - x
+            gap_sq = float(d.dot(d))
+            gap = math.sqrt(gap_sq)
+            if variant != "unit" and not _is_fixed(gap, x):
+                if needs_increments:
+                    t = _trace_step(gap_sq, inc)
+                else:
+                    t = _witness_step(d, x, m, gap_sq)
+                x_new = x + t * d
         if sol is not None:
-            e = x_new - sol
+            # An x_new equal to x has x's distance bitwise, so compare only then.
+            prev, e = dist, x_new - sol
             measure = dist = math.sqrt(e.dot(e))  # as np.linalg.norm computes it
+            stalled = dist == prev and not (x_new != x).any()
+        elif x_new is y:
+            # Finite y - x is zero exactly where y equals x; gap_sq may underflow.
+            measure, stalled = gap, gap_sq == 0.0 and not d.any()
+        else:
+            measure, stalled = abs(t) * gap, not (x_new != x).any()
         if not math.isfinite(measure):
             raise NumericalFailureError(k)
 
-        done = measure < cfg.eps
+        done = measure < eps
         last = done or stalled or k == cfg.max_iter
-        if cfg.store_every > 0 and (last or k % cfg.store_every == 0):
-            keep(k, t, change, x_new, dist)
+        if store_every > 0 and (last or k % store_every == 0):
+            if lazy:
+                gap = math.sqrt(float((d := y - x).dot(d)))
+            keep(k, t, abs(t) * gap, x_new, dist)
         x = x_new
         if last:
             break

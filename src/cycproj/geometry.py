@@ -127,12 +127,14 @@ class Hyperplane:
         return self.normal.shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        _check_dim(self.dim, x)
+        if x.shape[0] != self.normal.shape[0]:
+            _check_dim(self.dim, x)
         return x - ((float(self.normal.dot(x)) - self.offset) / self._nsq) * self.normal
 
     def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Projection plus squared distance moved, sharing one residual pass."""
-        _check_dim(self.dim, x)
+        if x.shape[0] != self.normal.shape[0]:
+            _check_dim(self.dim, x)
         c = (float(self.normal.dot(x)) - self.offset) / self._nsq
         return x - c * self.normal, c * c * self._nsq
 
@@ -212,14 +214,16 @@ class HalfSpace:
         return self.normal.shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        _check_dim(self.dim, x)
+        if x.shape[0] != self.normal.shape[0]:
+            _check_dim(self.dim, x)
         slack = float(self.normal.dot(x)) - self.offset
         if slack <= 0.0:
             return x
         return x - (slack / self._nsq) * self.normal
 
     def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        _check_dim(self.dim, x)
+        if x.shape[0] != self.normal.shape[0]:
+            _check_dim(self.dim, x)
         slack = float(self.normal.dot(x)) - self.offset
         if slack <= 0.0:
             return x, 0.0

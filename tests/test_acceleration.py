@@ -496,6 +496,57 @@ def test_stall_stops_unconverged_and_keeps_the_final_row():
             assert np.array_equal(tr.final, np.array([1e-170, 0.0]))
 
 
+def test_known_solution_rows_are_bitwise():
+    # With the solution given, a unit step computes Qx - x only for a stored
+    # row and the stall test compares iterates only when the distance
+    # repeats; no row, count or final point may depend on store_every.
+    rng = np.random.default_rng(61)
+    theta, xstar = 0.04, np.array([1.5, -0.7])
+    normals = (np.array([0.0, 1.0]), np.array([-math.sin(theta), math.cos(theta)]))
+    pair = CycleOperator(tuple(Hyperplane(a, float(a @ xstar)) for a in normals))
+    a = rng.standard_normal((70, 90))
+    rows = CycleOperator.from_rows(a, a @ rng.standard_normal(90))
+    x0 = 3.0 * rng.standard_normal(90)
+    halfspaces, m = strictly_feasible_halfspaces(rng, 4, 3)
+    runs = [
+        (pair, rule, xstar + np.array([10.0, 0.0]), xstar)
+        for rule in (StepRule.unit(), StepRule.gk_affine())
+    ] + [
+        (rows, rule, x0, exact_projection(x0, rows.sets))
+        for rule in (StepRule.unit(), StepRule.gk_affine())
+    ] + [
+        (CycleOperator(tuple(halfspaces)), StepRule.unit(),
+         violating_point(rng, halfspaces), m),
+    ]
+    for op, rule, start, sol in runs:
+        cfgs = {j: SolveConfig(eps=1e-8, solution=sol, store_every=j) for j in (0, 1, 3)}
+        traces = {j: solve(op, rule, start, cfg) for j, cfg in cfgs.items()}
+        streamed = []
+        traces["on_row"] = solve(
+            op, rule, start, cfgs[1], on_row=lambda *row: streamed.append(row)
+        )
+        full = traces[1]
+        k_total = full.iterations
+        assert k_total > 1 and full.ks == list(range(1, k_total + 1))
+        for tr in traces.values():
+            assert tr.iterations == k_total and tr.converged == full.converged
+            assert np.array_equal(tr.final, full.final)
+        ks, steps, changes, iterates = map(list, zip(*streamed))
+        assert (ks, steps, changes) == (full.ks, full.steps, full.changes)
+        assert all(np.array_equal(z, x) for z, x in zip(iterates, full.iterates))
+        thin = traces[3]
+        assert thin.ks == [k for k in full.ks if k % 3 == 0 or k == k_total]
+        for col in ("steps", "changes", "dists"):
+            assert getattr(thin, col) == [getattr(full, col)[k - 1] for k in thin.ks]
+        for (x, t), change, x_new, dist in zip(
+            _steps_taken(full), full.changes, full.iterates, full.dists
+        ):
+            d = op.apply(x) - x
+            e = x_new - sol
+            assert change == abs(t) * math.sqrt(d.dot(d))
+            assert dist == math.sqrt(e.dot(e))
+
+
 def test_halfspace_cycle_reaches_feasibility():
     rng = np.random.default_rng(58)
     halfspaces, m = strictly_feasible_halfspaces(rng, 4, 3)
