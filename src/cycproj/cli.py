@@ -375,16 +375,17 @@ def hyperplane_bench(
 
     The system A x = b has standard normal entries and is consistent by
     construction.  Runs stop when the change between sweeps drops below
-    eps.  Memory grows as 8*n*m bytes for the matrix itself, which the
-    operators share without a copy, plus 8*n*ROW_BLOCK bytes of block
-    inverses for each of the cyclic and symmetric operators in use.
-    `methods` are distinct names from BENCH_METHODS, as the CLI checks.
+    eps.  The system's hyperplanes and its row kernel are built once and
+    shared by the cyclic and symmetric operators, so memory grows as
+    8*n*m bytes for the matrix, which is not copied, plus 8*n*ROW_BLOCK
+    bytes of block inverses.  `methods` are distinct names from
+    BENCH_METHODS, as the CLI checks.
     """
     inst_rng = np.random.default_rng([seed, m, n])
     a = inst_rng.standard_normal((n, m))
     xstar = inst_rng.standard_normal(m)
     b = a @ xstar
-    plans = _plans(methods, lambda mode: CycleOperator.from_rows(a, b, mode))
+    plans = _plans(methods, CycleOperator.from_rows(a, b).with_mode)
     starts = [_unit_start([seed, m, n, r], m) for r in range(reps)]
     cfg = SolveConfig(eps=eps, max_iter=max_iter, store_every=0)
 

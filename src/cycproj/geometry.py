@@ -9,6 +9,7 @@ form; no iterative solves happen here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -100,12 +101,13 @@ def _set_normal_form(s, what: str) -> None:
     """Validate and store a frozen set's normal, offset and |normal|^2."""
     normal = as_vector(s.normal)
     offset = float(s.offset)
-    if not np.all(np.isfinite(normal)) or not np.isfinite(offset):
-        raise ValueError(f"{what} data must be finite")
-    # An overflowing |normal|^2 reads inf, which the check below rejects.
+    # A finite, positive |normal|^2 proves every entry finite: a non-finite
+    # entry makes it inf or nan, and an overflow makes it inf.
     with np.errstate(over="ignore"):
         nsq = float(normal @ normal)
-    if not 0.0 < nsq < np.inf:
+    if not (0.0 < nsq < math.inf and math.isfinite(offset)):
+        if not (math.isfinite(offset) and np.all(np.isfinite(normal))):
+            raise ValueError(f"{what} data must be finite")
         raise ValueError(f"{what} normal must be nonzero, with a finite squared norm")
     object.__setattr__(s, "normal", normal)
     object.__setattr__(s, "offset", offset)

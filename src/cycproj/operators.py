@@ -14,8 +14,8 @@ step on A A^T (Bjorck & Elfving 1979), computed block by block with
 BLAS.  Besides the rows themselves the kernel keeps one
 ROW_BLOCK x ROW_BLOCK inverse per block of rows, 8 * n * ROW_BLOCK
 bytes for n rows; the backward sweep of the symmetric cycle reads the
-same blocks transposed.  Its results agree with the row loop to
-roundoff, not bitwise.
+same blocks transposed, so one kernel serves both modes.  Its results
+agree with the row loop to roundoff, not bitwise.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ class _RowKernel:
     rows whose norms spread over many decades as accurate as the row loop.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, nsq: np.ndarray):
+    def __init__(self, a: np.ndarray, sets: tuple):
         self.a = a
-        self.b = b
-        self.nsq = nsq
+        self.b = np.array([s.offset for s in sets])
+        self.nsq = nsq = np.array([s._nsq for s in sets])
         self.blocks = []
         n = a.shape[0]
         for start in range(0, n, ROW_BLOCK):
@@ -120,14 +120,15 @@ class CycleOperator:
     them, `apply` and `apply_with_increments` run the stacked row kernel
     (see the module docstring); every other cycle projects set by set.
     Build large hyperplane cycles with `from_rows`, which shares the row
-    matrix instead of stacking a copy of it.
+    matrix instead of stacking a copy of it, and the same sets in the other
+    mode with `with_mode`, which shares the sets and the kernel.
     """
 
     sets: tuple
     mode: str = "cyclic"
-    _rows: InitVar[Optional[np.ndarray]] = None
+    _kernel: InitVar[Optional[_RowKernel]] = None
 
-    def __post_init__(self, _rows):
+    def __post_init__(self, kernel):
         sets = tuple(self.sets)
         if not sets:
             raise ValueError("cycle needs at least one set")
@@ -138,12 +139,10 @@ class CycleOperator:
             stage_sets = sets + tuple(reversed(sets[:-1]))
         else:
             stage_sets = sets
-        kernel = None
-        if len(sets) >= ROW_BLOCK and all(isinstance(s, Hyperplane) for s in sets):
-            a = np.stack([s.normal for s in sets]) if _rows is None else _rows
-            b = np.array([s.offset for s in sets])
-            nsq = np.array([s._nsq for s in sets])
-            kernel = _RowKernel(a, b, nsq)
+        if kernel is None and len(sets) >= ROW_BLOCK and all(
+            isinstance(s, Hyperplane) for s in sets
+        ):
+            kernel = _RowKernel(np.stack([s.normal for s in sets]), sets)
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "_stage_sets", stage_sets)
         object.__setattr__(self, "_kernel", kernel)
@@ -154,6 +153,7 @@ class CycleOperator:
 
         Each Hyperplane's normal is a view of a row of `a`, and the row
         kernel works on `a` itself, so a float64 matrix is never copied.
+        The cycle over the same rows in the other mode is `with_mode`.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -162,7 +162,12 @@ class CycleOperator:
                 f"rows must be (n, d) with n offsets, got {a.shape} and {b.shape}"
             )
         sets = tuple(Hyperplane(a[i], float(b[i])) for i in range(a.shape[0]))
-        return cls(sets, mode, a)
+        return cls(sets, mode, _RowKernel(a, sets) if len(sets) >= ROW_BLOCK else None)
+
+    def with_mode(self, mode: str) -> "CycleOperator":
+        """The cycle over the same sets in `mode`, sharing the sets tuple
+        and the row kernel, which serves both modes."""
+        return type(self)(self.sets, mode, self._kernel)
 
     @property
     def dim(self) -> int:

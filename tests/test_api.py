@@ -1,7 +1,9 @@
-"""Every exported name resolves, and the benchmark's hooks hold."""
+"""Every exported name resolves, the benchmark's hooks hold, and the source
+stays within its line budget."""
 
 import importlib
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +80,10 @@ def test_benchmark_hooks(monkeypatch):
     bench = {"method", "mean_iterations", "mean_residual", "reps", "all_converged"}
     assert bench <= names(cli.BenchRow)
     assert {"iterates", "iterations", "final"} <= names(IterationTrace)
+
+
+def test_source_line_budget():
+    # The round's budget for src/cycproj/*.py, counted as `cat | wc -l` does.
+    files = (Path(__file__).resolve().parents[1] / "src" / "cycproj").glob("*.py")
+    lines = sum(path.read_bytes().count(b"\n") for path in files)
+    assert 0 < lines <= 1650

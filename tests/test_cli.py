@@ -18,6 +18,7 @@ from cycproj.acceleration import SolveConfig, StepRule, solve
 from cycproj.analysis import exact_projection
 from cycproj.cli import (
     BENCH_HEADER,
+    BENCH_METHODS,
     MAX_THETAS,
     SOLVE_METHODS,
     SWEEP_HEADER,
@@ -582,6 +583,42 @@ def test_hyperplane_bench_default_n_and_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["hyperplane-bench", "--m", "40,0"]) == 1
     capsys.readouterr()
+
+
+def test_hyperplane_bench_builds_each_row_system_once(monkeypatch):
+    # One Hyperplane per row and, at ROW_BLOCK rows or more, one row kernel
+    # per system, shared by the operators of all four methods.
+    kernels, hyperplanes, ops = [], [], []
+    real_kernel = cycproj.operators._RowKernel
+    real_form = cycproj.geometry._set_normal_form
+    real_solve = cycproj.cli.solve
+
+    def counting_kernel(a, sets):
+        kernels.append(sets)
+        return real_kernel(a, sets)
+
+    def counting_form(s, what):
+        hyperplanes.append(s)
+        real_form(s, what)
+
+    def recording_solve(op, *args, **kwargs):
+        ops.append(op)
+        return real_solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(cycproj.operators, "_RowKernel", counting_kernel)
+    monkeypatch.setattr(cycproj.geometry, "_set_normal_form", counting_form)
+    monkeypatch.setattr(cycproj.cli, "solve", recording_solve)
+    for n in (ROW_BLOCK + 5, ROW_BLOCK - 1):
+        for log in (kernels, hyperplanes, ops):
+            log.clear()
+        rows = hyperplane_bench(2 * n, n, 1, 1e-6, 0, list(BENCH_METHODS), 100_000)
+        assert all(r.all_converged for r in rows)
+        assert len(ops) == len(BENCH_METHODS)
+        assert {op.mode for op in ops} == {"cyclic", "symmetric"}
+        first = ops[0]
+        assert all(op.sets is first.sets and op._kernel is first._kernel for op in ops)
+        assert [id(h) for h in first.sets] == [id(h) for h in hyperplanes]
+        assert [id(s) for s in kernels] == ([id(first.sets)] if n >= ROW_BLOCK else [])
 
 
 def test_all_converged_is_per_method():

@@ -160,16 +160,27 @@ def test_span_orthonormality_repair_and_rejection():
             Span(np.zeros(2), np.array(basis))
 
 
-def test_zero_normal_rejected():
-    with pytest.raises(ValueError):
-        Hyperplane(np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        HalfSpace(np.zeros(2), 0.0)
-    # |normal|^2 overflows to inf: residuals would read 0 and projections stall
-    with np.errstate(over="ignore"):
-        for kind in (Hyperplane, HalfSpace):
-            with pytest.raises(ValueError):
-                kind(np.array([1e200, 1e200]), 0.0)
+def test_normal_form_failures():
+    # No np.errstate here: a RuntimeWarning that leaks out of the check
+    # fails the test under the suite's error::RuntimeWarning filter.
+    non_finite = [
+        ([1.0, np.nan], 0.0),
+        ([np.inf, 1.0], 0.0),
+        ([1.0, 2.0], np.inf),
+        ([1.0, 2.0], np.nan),
+        ([0.0, 0.0], np.nan),
+    ]
+    # Zero, overflowing (residuals would read 0 and projections stall) and
+    # underflowing squared norms.
+    degenerate = [([0.0, 0.0, 0.0], 1.0), ([1e200, 1e200], 0.0), ([1e-200], 0.0)]
+    for kind, what in ((Hyperplane, "hyperplane"), (HalfSpace, "half-space")):
+        for normal, offset in non_finite:
+            with pytest.raises(ValueError, match=f"^{what} data must be finite$"):
+                kind(np.array(normal), offset)
+        for normal, offset in degenerate:
+            message = f"^{what} normal must be nonzero, with a finite squared norm$"
+            with pytest.raises(ValueError, match=message):
+                kind(np.array(normal), offset)
 
 
 def test_idempotence():

@@ -206,6 +206,33 @@ def test_row_kernel_selection_and_shared_rows():
         CycleOperator.from_rows(a, b[:-1])
 
 
+@pytest.mark.parametrize("n", [2 * ROW_BLOCK + 5, ROW_BLOCK - 1])
+def test_with_mode_shares_sets_and_kernel(n):
+    # One row system serves both modes: each mode's operator shares the
+    # sets tuple and the kernel (None below ROW_BLOCK rows), and computes
+    # what an independently built operator in that mode computes.
+    rng = np.random.default_rng([50, n])
+    a = rng.standard_normal((n, 2 * n))
+    b = rng.standard_normal(n)
+    x = 5.0 * rng.standard_normal(2 * n)
+    cyclic = CycleOperator.from_rows(a, b)
+    assert (cyclic._kernel is None) == (n < ROW_BLOCK)
+    symmetric = cyclic.with_mode("symmetric")
+    modes = ((symmetric, "symmetric"), (symmetric.with_mode("cyclic"), "cyclic"))
+    for op, mode in modes:
+        assert op.mode == mode
+        assert op.sets is cyclic.sets
+        assert op._kernel is cyclic._kernel
+        alone = CycleOperator.from_rows(a, b, mode)
+        assert np.array_equal(op.apply(x), alone.apply(x))
+        y, inc = op.apply_with_increments(x)
+        y_alone, inc_alone = alone.apply_with_increments(x)
+        assert np.array_equal(y, y_alone)
+        assert np.array_equal(inc, inc_alone)
+    with pytest.raises(ValueError):
+        cyclic.with_mode("backward")
+
+
 def test_row_kernel_checks_dimension():
     rng = np.random.default_rng(49)
     op = CycleOperator.from_rows(rng.standard_normal((ROW_BLOCK, 10)), np.zeros(ROW_BLOCK))
