@@ -47,7 +47,7 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepRule:
-    """Choice of relaxation parameter t_k, with an optional witness point."""
+    """The t_k rule by name: StepRule(name), or StepRule("oracle", m) with witness m."""
 
     variant: str
     m: Optional[np.ndarray] = None
@@ -61,22 +61,6 @@ class StepRule:
             object.__setattr__(self, "m", as_vector(self.m))
         elif self.m is not None:
             raise ValueError("only the oracle rule carries a witness point")
-
-    @classmethod
-    def unit(cls) -> "StepRule":
-        return cls("unit")
-
-    @classmethod
-    def gk_linear(cls) -> "StepRule":
-        return cls("gk-linear")
-
-    @classmethod
-    def gk_affine(cls) -> "StepRule":
-        return cls("gk-affine")
-
-    @classmethod
-    def oracle(cls, m) -> "StepRule":
-        return cls("oracle", m)
 
 
 @dataclass

@@ -52,29 +52,18 @@ def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
     return p
 
 
-def _as_basis(u) -> np.ndarray:
-    """Coerce a basis given as a (d, r) array or a list of vectors."""
-    if isinstance(u, np.ndarray) and u.ndim == 2:
-        return np.asarray(u, dtype=float)
-    vecs = [as_vector(v) for v in u]
-    if not vecs:
-        raise ValueError("basis must contain at least the ambient dimension info")
-    return np.column_stack(vecs)
-
-
 def friederichs_cosine(u, v) -> float:
     """Cosine of the Friederichs angle between two linear subspaces.
 
-    Takes orthonormal bases (as (d, r) arrays or vector lists), checked
+    Takes orthonormal bases as (d, r) arrays of one d, checked
     and repaired as a Span's basis is, and returns the largest principal
     cosine left once the directions the subspaces share (sine at most
     RANK_CUTOFF) are set aside, clamped to [0, 1].  Subspaces that
     coincide or contain one another yield 0, matching the supremum over
     an empty set.
     """
-    ub, vb = (_orthonormal(_as_basis(b)) for b in (u, v))
-    if ub.shape[0] != vb.shape[0]:
-        raise ValueError("both subspaces must share one ambient dimension")
+    ub = _orthonormal(u)
+    vb = _orthonormal(v, ub.shape[0])
     cos, _, shared = _principal(ub, vb)
     top = float(cos[~shared].max(initial=0.0))
     return min(max(top, 0.0), 1.0)

@@ -138,25 +138,25 @@ def _open_out(path: Optional[str]):
 
 
 def parse_problem_file(path: str) -> tuple[np.ndarray, list]:
-    """Read a problem file into (x0, sets).
+    """Read a UTF-8 problem file into (x0, sets), one line at a time.
 
     Format: `dim <d>`, then `x0 <d reals>`, then one constraint per line,
     either `hyperplane <d reals> <offset>` or `point <d reals>`.  Blank
     lines and lines starting with '#' are ignored.
     """
     try:
-        with open(path) as fh:
-            raw = fh.readlines()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_lines(
+                (i, tokens)
+                for i, tokens in enumerate(map(str.split, fh), start=1)
+                if tokens and not tokens[0].startswith("#")
+            )
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(0, f"cannot read {path}: {exc}") from exc
 
-    lines = []
-    for i, line in enumerate(raw, start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((i, stripped))
-    if not lines:
-        raise ProblemFileError(0, "empty problem file")
+
+def _parse_lines(lines) -> tuple[np.ndarray, list]:
+    """The (x0, sets) of a problem file's content lines, as (lineno, tokens)."""
 
     def floats(lineno, tokens, count, what):
         if len(tokens) != count:
@@ -171,8 +171,9 @@ def parse_problem_file(path: str) -> tuple[np.ndarray, list]:
             raise ProblemFileError(lineno, f"{what} contains a non-finite value")
         return vals
 
-    lineno, header = lines[0]
-    tokens = header.split()
+    lineno, tokens = next(lines, (0, None))
+    if tokens is None:
+        raise ProblemFileError(0, "empty problem file")
     if tokens[0] != "dim" or len(tokens) != 2:
         raise ProblemFileError(lineno, "first line must be 'dim <d>'")
     try:
@@ -182,10 +183,9 @@ def parse_problem_file(path: str) -> tuple[np.ndarray, list]:
     if dim < 1:
         raise ProblemFileError(lineno, "dimension must be positive")
 
-    if len(lines) < 2:
+    lineno, tokens = next(lines, (lineno, None))
+    if tokens is None:
         raise ProblemFileError(lineno, "missing x0 line")
-    lineno, x0_line = lines[1]
-    tokens = x0_line.split()
     if tokens[0] != "x0":
         raise ProblemFileError(lineno, "second line must be 'x0 <d reals>'")
     x0 = floats(lineno, tokens[1:], dim, "x0")
@@ -196,8 +196,7 @@ def parse_problem_file(path: str) -> tuple[np.ndarray, list]:
         "point": (dim, lambda v: Span(v, np.zeros((dim, 0)))),
     }
     sets = []
-    for lineno, line in lines[2:]:
-        kind, *tokens = line.split()
+    for lineno, (kind, *tokens) in lines:
         if kind not in kinds:
             raise ProblemFileError(lineno, f"unknown constraint kind {kind!r}")
         count, make = kinds[kind]
@@ -207,7 +206,7 @@ def parse_problem_file(path: str) -> tuple[np.ndarray, list]:
         except ValueError as exc:
             raise ProblemFileError(lineno, str(exc)) from exc
     if not sets:
-        raise ProblemFileError(lines[-1][0], "no constraint sets given")
+        raise ProblemFileError(lineno, "no constraint sets given")
     return x0, sets
 
 
@@ -222,7 +221,7 @@ def _plans(methods: Sequence[str], build) -> dict:
         composite, accelerated = PLANS[name]
         if composite not in ops:
             ops[composite] = build(composite)
-        rule = StepRule.gk_affine() if accelerated else StepRule.unit()
+        rule = StepRule("gk-affine" if accelerated else "unit")
         plans[name] = (ops[composite], rule)
     return plans
 

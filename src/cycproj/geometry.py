@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -72,9 +72,16 @@ def _affine_dim(sets) -> int:
     return _common_dim(sets)
 
 
-def _orthonormal(basis: np.ndarray) -> np.ndarray:
-    """A (d, r) basis as is, or QR-repaired if its Gram drift from I exceeds
-    ORTHO_ACCEPT_TOL; ValueError if non-finite or drifting past ORTHO_REPAIR_TOL."""
+def _orthonormal(basis, dim: Optional[int] = None) -> np.ndarray:
+    """A (d, r) array basis, d = dim if given, as is, or QR-repaired if its Gram
+    drift from I exceeds ORTHO_ACCEPT_TOL; ValueError for any other input, or
+    if non-finite or drifting past ORTHO_REPAIR_TOL."""
+    array = isinstance(basis, np.ndarray)
+    if not (array and basis.ndim == 2 and dim in (None, len(basis))):
+        got = f"shape {basis.shape}" if array else type(basis).__name__
+        want = "" if dim is None else f" with d = {dim}"
+        raise ValueError(f"basis must be a (d, r) array{want}, got {got}")
+    basis = basis.astype(float, copy=False)
     if not np.all(np.isfinite(basis)):
         raise ValueError("basis must be finite")
     if basis.shape[1] > 0:
@@ -159,18 +166,11 @@ class Span:
 
     def __post_init__(self):
         anchor = as_vector(self.anchor)
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim == 1:
-            basis = basis[:, None]
-        if basis.ndim != 2 or basis.shape[0] != anchor.shape[0]:
-            raise ValueError(
-                f"basis must be (d, r) with d = {anchor.shape[0]}, "
-                f"got shape {basis.shape}"
-            )
+        basis = _orthonormal(self.basis, anchor.shape[0])
         if not np.all(np.isfinite(anchor)):
             raise ValueError("span anchor must be finite")
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "basis", _orthonormal(basis))
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:

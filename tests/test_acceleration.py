@@ -50,13 +50,16 @@ def test_step_rule_constructors_and_validation():
     for name in ("symmetric", "symmetric-dr"):
         with pytest.raises(ValueError):
             StepRule(name)
-    r = StepRule.oracle(np.array([1.0, 2.0]))
+    r = StepRule("oracle", np.array([1.0, 2.0]))
     assert r.variant == "oracle"
     assert np.array_equal(r.m, [1.0, 2.0])
     with pytest.raises(ValueError):
         StepRule("oracle")
     with pytest.raises(ValueError):
         StepRule("newton")
+    # A rule is built by name only, with no classmethod alias per name.
+    for alias in ("unit", "gk_linear", "gk_affine", "oracle"):
+        assert not hasattr(StepRule, alias)
 
 
 def test_solve_config_validation():
@@ -141,9 +144,9 @@ def test_solve_steps_match_traced_step_on_row_kernel():
     a = rng.standard_normal((n, d))
     b = a @ rng.standard_normal(d)
     x0 = 5.0 * rng.standard_normal(d)
-    for mode, rule in (("cyclic", StepRule.gk_affine()), ("symmetric", StepRule.gk_affine())):
+    for mode in ("cyclic", "symmetric"):
         op = CycleOperator.from_rows(a, b, mode)
-        tr = solve(op, rule, x0, SolveConfig(eps=1e-10, max_iter=1000))
+        tr = solve(op, StepRule("gk-affine"), x0, SolveConfig(eps=1e-10, max_iter=1000))
         assert tr.converged
         assert tr.ks == list(range(1, tr.iterations + 1))
         for x, t in zip([tr.start] + tr.iterates[:-1], tr.steps):
@@ -170,11 +173,11 @@ def test_solve_steps_are_the_step_functions_bitwise():
     m = exact_projection(x0, sets)
     dr = DouglasRachfordOperator(pair[0], pair[1])
     runs = [
-        (CycleOperator(tuple(sets)), StepRule.gk_affine(), None),
-        (CycleOperator(tuple(sets), mode="symmetric"), StepRule.gk_affine(), None),
-        (dr, StepRule.gk_affine(), None),
-        (CycleOperator(tuple(sets)), StepRule.oracle(m), m),
-        (CycleOperator(tuple(linear)), StepRule.gk_linear(), np.zeros(5)),
+        (CycleOperator(tuple(sets)), StepRule("gk-affine"), None),
+        (CycleOperator(tuple(sets), mode="symmetric"), StepRule("gk-affine"), None),
+        (dr, StepRule("gk-affine"), None),
+        (CycleOperator(tuple(sets)), StepRule("oracle", m), m),
+        (CycleOperator(tuple(linear)), StepRule("gk-linear"), np.zeros(5)),
     ]
     for op, rule, witness in runs:
         start = x0 if op.dim == 6 else 4.0 * rng.standard_normal(op.dim)
@@ -217,8 +220,8 @@ def test_row_kernel_iteration_counts_match_row_loop():
         for r in range(10):
             v = np.random.default_rng([seed, m, n, r]).standard_normal(m)
             x0 = (10.0 / np.linalg.norm(v)) * v
-            fast = solve(kernel, StepRule.unit(), x0, cfg)
-            slow = solve(loop, StepRule.unit(), x0, cfg)
+            fast = solve(kernel, StepRule("unit"), x0, cfg)
+            slow = solve(loop, StepRule("unit"), x0, cfg)
             assert fast.converged and slow.converged
             assert fast.iterations == slow.iterations
 
@@ -300,7 +303,7 @@ def test_solve_zero_iterations_when_started_at_solution():
     op = CycleOperator((XAXIS, DIAGONAL))
     x0 = np.array([3.0, 1.0])
     cfg = SolveConfig(eps=1e2, solution=x0.copy())
-    tr = solve(op, StepRule.unit(), x0, cfg)
+    tr = solve(op, StepRule("unit"), x0, cfg)
     assert tr.converged
     assert tr.iterations == 0
     assert tr.initial_dist == 0.0
@@ -311,7 +314,7 @@ def test_solve_zero_iterations_when_started_at_solution():
 def test_solve_fix_branch_takes_unit_step():
     op = CycleOperator((XAXIS,))
     x0 = np.array([4.0, 0.0])  # already on the set
-    tr = solve(op, StepRule.gk_affine(), x0, SolveConfig(eps=1e-12))
+    tr = solve(op, StepRule("gk-affine"), x0, SolveConfig(eps=1e-12))
     assert tr.converged
     assert tr.iterations == 1
     assert tr.steps == [1.0]
@@ -322,7 +325,7 @@ def test_solve_max_iter_flagged():
     op = CycleOperator((XAXIS, DIAGONAL))
     tr = solve(
         op,
-        StepRule.unit(),
+        StepRule("unit"),
         np.array([5.0, 3.0]),
         SolveConfig(eps=1e-300, max_iter=7),
     )
@@ -350,7 +353,7 @@ class _Poison:
 def test_solve_raises_on_non_finite_values():
     op = _Poison(after=3)
     with pytest.raises(NumericalFailureError) as info:
-        solve(op, StepRule.unit(), np.array([8.0, 8.0]), SolveConfig(eps=1e-12))
+        solve(op, StepRule("unit"), np.array([8.0, 8.0]), SolveConfig(eps=1e-12))
     assert info.value.iteration == 4
 
 
@@ -359,12 +362,12 @@ def test_solve_rejects_unfixed_oracle_witness():
     with pytest.raises(ValueError):
         solve(
             op,
-            StepRule.oracle(np.array([5.0, 5.0])),  # on DIAGONAL, not on XAXIS
+            StepRule("oracle", np.array([5.0, 5.0])),  # on DIAGONAL, not on XAXIS
             np.array([1.0, 2.0]),
             SolveConfig(),
         )
     # the true intersection point passes
-    tr = solve(op, StepRule.oracle(np.zeros(2)), np.array([1.0, 2.0]), SolveConfig())
+    tr = solve(op, StepRule("oracle", np.zeros(2)), np.array([1.0, 2.0]), SolveConfig())
     assert tr.converged
 
 
@@ -373,19 +376,19 @@ def test_solve_rule_operator_pairing_errors():
     x0 = np.array([1.0, 2.0])
     offset = CycleOperator((Hyperplane(np.array([1.0, 0.0]), 5.0),))
     with pytest.raises(ValueError):
-        solve(offset, StepRule.gk_linear(), x0, SolveConfig())
+        solve(offset, StepRule("gk-linear"), x0, SolveConfig())
     with pytest.raises(ValueError):
-        solve(cyc, StepRule.unit(), np.zeros(3), SolveConfig())
+        solve(cyc, StepRule("unit"), np.zeros(3), SolveConfig())
     # a solution of the wrong length would broadcast into the distances
     for length in (1, 3):
         with pytest.raises(ValueError):
-            solve(cyc, StepRule.unit(), x0, SolveConfig(solution=np.zeros(length)))
+            solve(cyc, StepRule("unit"), x0, SolveConfig(solution=np.zeros(length)))
     # half-space cycles take only the unit and oracle rules
     halves = (HalfSpace(XAXIS.normal, 0.0), HalfSpace(DIAGONAL.normal, 0.0))
     for mode, rule in (
-        ("cyclic", StepRule.gk_affine()),
-        ("cyclic", StepRule.gk_linear()),
-        ("symmetric", StepRule.gk_affine()),
+        ("cyclic", StepRule("gk-affine")),
+        ("cyclic", StepRule("gk-linear")),
+        ("symmetric", StepRule("gk-affine")),
     ):
         with pytest.raises(ValueError):
             solve(CycleOperator(halves, mode=mode), rule, x0, SolveConfig())
@@ -398,9 +401,9 @@ def test_solve_limits_match_stacked_least_squares():
     want = exact_projection(x0, sets)
     cfg = SolveConfig(eps=1e-11, max_iter=200_000)
     for op, rule in [
-        (CycleOperator(tuple(sets)), StepRule.unit()),
-        (CycleOperator(tuple(sets)), StepRule.gk_affine()),
-        (CycleOperator(tuple(sets), mode="symmetric"), StepRule.gk_affine()),
+        (CycleOperator(tuple(sets)), StepRule("unit")),
+        (CycleOperator(tuple(sets)), StepRule("gk-affine")),
+        (CycleOperator(tuple(sets), mode="symmetric"), StepRule("gk-affine")),
     ]:
         tr = solve(op, rule, x0, cfg)
         assert tr.converged
@@ -412,7 +415,7 @@ def test_solve_dr_shadow_limit():
     sets, _ = random_affine_instance(rng, d=5, n=2)
     x0 = 5.0 * rng.standard_normal(5)
     dr = DouglasRachfordOperator(sets[0], sets[1])
-    tr = solve(dr, StepRule.gk_affine(), x0, SolveConfig(eps=1e-12))
+    tr = solve(dr, StepRule("gk-affine"), x0, SolveConfig(eps=1e-12))
     assert tr.converged
     # the iteration starts from the once-advanced point
     assert np.array_equal(tr.start, dr.apply(x0))
@@ -427,7 +430,7 @@ def test_distance_never_increases_under_line_search_rules():
     x0 = 5.0 * rng.standard_normal(5)
     xstar = exact_projection(x0, sets)
     cfg = SolveConfig(eps=1e-10, solution=xstar, max_iter=100_000)
-    for rule in (StepRule.unit(), StepRule.gk_affine()):
+    for rule in (StepRule("unit"), StepRule("gk-affine")):
         tr = solve(CycleOperator(tuple(sets)), rule, x0, cfg)
         assert tr.converged
         for f in contraction_factors(tr, cfg.eps):
@@ -443,8 +446,8 @@ def test_acceleration_beats_plain_iteration_at_small_angle():
     )
     x0 = np.array([10.0, 0.0])
     cfg = SolveConfig(eps=1e-6, solution=np.zeros(2), max_iter=500_000, store_every=0)
-    plain = solve(CycleOperator(sets), StepRule.unit(), x0, cfg)
-    fast = solve(CycleOperator(sets), StepRule.gk_affine(), x0, cfg)
+    plain = solve(CycleOperator(sets), StepRule("unit"), x0, cfg)
+    fast = solve(CycleOperator(sets), StepRule("gk-affine"), x0, cfg)
     assert plain.converged and fast.converged
     assert plain.iterations >= 20 * fast.iterations
 
@@ -454,7 +457,7 @@ def test_store_every_thinning_and_final_state():
     x0 = np.array([7.0, 3.0])
     runs = {}
     for j in (0, 1, 7):
-        runs[j] = solve(op, StepRule.unit(), x0, SolveConfig(eps=1e-9, store_every=j))
+        runs[j] = solve(op, StepRule("unit"), x0, SolveConfig(eps=1e-9, store_every=j))
     k_total = runs[1].iterations
     assert runs[0].iterations == runs[7].iterations == k_total
     assert np.array_equal(runs[0].final, runs[1].final)
@@ -470,7 +473,7 @@ def test_stall_stops_unconverged_and_keeps_the_final_row():
     # The start lies on both lines, so the first update leaves it bitwise
     # unchanged; the given solution lies elsewhere, so the criterion never holds.
     op = CycleOperator((XAXIS, DIAGONAL))
-    for rule in (StepRule.unit(), StepRule.gk_affine()):
+    for rule in (StepRule("unit"), StepRule("gk-affine")):
         for j in (1, 7):
             cfg = SolveConfig(
                 eps=1e-9, max_iter=50, solution=np.array([1.0, 0.0]), store_every=j
@@ -485,7 +488,7 @@ def test_stall_stops_unconverged_and_keeps_the_final_row():
     # The first move, 1e-170 along the x-axis, squares to 0.0 but is no
     # stall; the second update leaves the iterate bitwise unchanged.
     op = CycleOperator((Hyperplane(np.array([1.0, 0.0]), 1e-170),))
-    for rule in (StepRule.unit(), StepRule.gk_affine()):
+    for rule in (StepRule("unit"), StepRule("gk-affine")):
         for j, ks in ((1, [1, 2]), (7, [2])):
             cfg = SolveConfig(
                 eps=1e-9, max_iter=50, solution=np.array([1.0, 0.0]), store_every=j
@@ -510,12 +513,12 @@ def test_known_solution_rows_are_bitwise():
     halfspaces, m = strictly_feasible_halfspaces(rng, 4, 3)
     runs = [
         (pair, rule, xstar + np.array([10.0, 0.0]), xstar)
-        for rule in (StepRule.unit(), StepRule.gk_affine())
+        for rule in (StepRule("unit"), StepRule("gk-affine"))
     ] + [
         (rows, rule, x0, exact_projection(x0, rows.sets))
-        for rule in (StepRule.unit(), StepRule.gk_affine())
+        for rule in (StepRule("unit"), StepRule("gk-affine"))
     ] + [
-        (CycleOperator(tuple(halfspaces)), StepRule.unit(),
+        (CycleOperator(tuple(halfspaces)), StepRule("unit"),
          violating_point(rng, halfspaces), m),
     ]
     for op, rule, start, sol in runs:
@@ -552,7 +555,7 @@ def test_halfspace_cycle_reaches_feasibility():
     halfspaces, m = strictly_feasible_halfspaces(rng, 4, 3)
     cycle = CycleOperator(tuple(halfspaces))
     x0 = violating_point(rng, halfspaces)
-    for rule in (StepRule.unit(), StepRule.oracle(m)):
+    for rule in (StepRule("unit"), StepRule("oracle", m)):
         tr = solve(cycle, rule, x0, SolveConfig(eps=1e-10))
         assert tr.converged
         for h in halfspaces:

@@ -134,7 +134,7 @@ def test_criterion_04_contraction_rate_bound():
             continue
         tr = solve(
             CycleOperator(tuple(sets)),
-            StepRule.unit(),
+            StepRule("unit"),
             x0,
             SolveConfig(
                 eps=1e-12 * (1.0 + d0), max_iter=200, solution=xstar
@@ -157,13 +157,13 @@ def test_criterion_05_symmetric_dominance():
         op = CycleOperator(tuple(sets), mode="symmetric")
         accel = solve(
             op,
-            StepRule.gk_affine(),
+            StepRule("gk-affine"),
             x0,
             SolveConfig(eps=1e-300, max_iter=100, solution=xstar),
         )
         plain = solve(
             op,
-            StepRule.unit(),
+            StepRule("unit"),
             x0,
             SolveConfig(eps=1e-300, max_iter=101, solution=xstar),
         )
@@ -184,13 +184,13 @@ def test_criterion_06_symmetric_dr_dominance_and_shadows():
         pm = exact_projection(x0, sets)
         accel = solve(
             op,
-            StepRule.gk_affine(),
+            StepRule("gk-affine"),
             x0,
             SolveConfig(eps=1e-9, max_iter=2000, solution=pfix),
         )
         plain = solve(
             op,
-            StepRule.unit(),
+            StepRule("unit"),
             x0,
             SolveConfig(eps=1e-300, max_iter=101, solution=pfix),
         )

@@ -69,7 +69,7 @@ def test_exact_projection_agrees_with_long_plain_iteration():
     x0 = 5.0 * rng.standard_normal(6)
     tr = solve(
         CycleOperator(tuple(sets)),
-        StepRule.unit(),
+        StepRule("unit"),
         x0,
         SolveConfig(eps=1e-12, max_iter=500_000, store_every=0),
     )
@@ -129,8 +129,6 @@ def test_friederichs_two_lines_frozen():
     u = np.array([[1.0], [0.0]])
     v = np.array([[math.cos(0.3)], [math.sin(0.3)]])
     assert abs(friederichs_cosine(u, v) - math.cos(0.3)) <= 1e-12
-    # vector-list form of the same call
-    assert abs(friederichs_cosine([u[:, 0]], [v[:, 0]]) - math.cos(0.3)) <= 1e-12
 
 
 def test_friederichs_orthogonal_and_contained_cases():
@@ -186,8 +184,16 @@ def test_friederichs_input_validation():
     # LinAlgError is a ValueError too; the basis check must name the cause
     with pytest.raises(ValueError, match="finite"):
         friederichs_cosine(np.full((3, 1), np.nan), np.eye(3)[:, :1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"with d = 3, got shape \(4, 1\)"):
         friederichs_cosine(np.eye(3)[:, :1], np.eye(4)[:, :1])
+    # A basis is a (d, r) array only: not a list of vectors, a vector, or 3-D.
+    e = np.eye(3)
+    for basis, got in (([e[:, 0]], "list"), (e[:, 0], r"shape \(3,\)"),
+                       (e[:, :, None], r"shape \(3, 3, 1\)")):
+        with pytest.raises(ValueError, match=rf"\(d, r\) array, got {got}"):
+            friederichs_cosine(basis, e[:, :1])
+        with pytest.raises(ValueError, match=rf"\(d, r\) array with d = 3, got {got}"):
+            friederichs_cosine(e[:, :1], basis)
 
 
 def test_rate_constant_two_lines_frozen():
@@ -210,7 +216,7 @@ def test_rate_constant_orthogonal_sets_vanishes():
     # one full pass then solves the problem outright
     tr = solve(
         CycleOperator(tuple(sets)),
-        StepRule.unit(),
+        StepRule("unit"),
         np.array([3.0, -2.0, 7.0]),
         SolveConfig(eps=1e-12),
     )
@@ -262,7 +268,7 @@ def test_rate_constant_bounds_observed_contraction():
         xstar = exact_projection(x0, sets)
         tr = solve(
             CycleOperator(tuple(sets)),
-            StepRule.unit(),
+            StepRule("unit"),
             x0,
             SolveConfig(eps=1e-9, solution=xstar, max_iter=50_000),
         )

@@ -1,7 +1,11 @@
-"""Every exported name resolves, the benchmark's hooks hold, and the source
-stays within its line budget."""
+"""Every exported name resolves, the benchmark's hooks hold, the README's
+examples run, and the source stays within its line budget."""
 
 import importlib
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -80,6 +84,20 @@ def test_benchmark_hooks(monkeypatch):
     bench = {"method", "mean_iterations", "mean_residual", "reps", "all_converged"}
     assert bench <= names(cli.BenchRow)
     assert {"iterates", "iterations", "final"} <= names(IterationTrace)
+
+
+def test_readme_examples_run(tmp_path):
+    # Every python block of README.md runs, in order and in one namespace,
+    # so a name or spelling the package no longer has cannot stay in the docs.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    assert blocks
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    source = str(Path(cycproj.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (source, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", "".join(blocks)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_source_line_budget():

@@ -1,5 +1,6 @@
 """Problem files, subcommands, exit codes and CSV schemas."""
 
+import contextlib
 import csv
 import importlib.metadata
 import math
@@ -113,6 +114,29 @@ def test_parse_problem_file_missing_path(tmp_path):
     with pytest.raises(ProblemFileError) as info:
         parse_problem_file(str(tmp_path / "absent.txt"))
     assert info.value.lineno == 0
+
+
+def test_parse_problem_file_unreadable_bytes(tmp_path, monkeypatch, capsys):
+    # A file that is not UTF-8 is reported like an unreadable one, not as a
+    # traceback, and so is a read that fails after the first lines.
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"dim 2\nx0 1 2\n\xff hyperplane 1 0 0\n")
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 0: cannot read {path}: ")
+    assert len(err.splitlines()) == 1
+
+    def lines():
+        yield "dim 2\n"
+        raise OSError("device went away")
+
+    @contextlib.contextmanager
+    def failing_open(*args, **kwargs):
+        yield lines()
+
+    monkeypatch.setattr(cycproj.cli, "open", failing_open, raising=False)
+    with pytest.raises(ProblemFileError, match="line 0: cannot read .*went away"):
+        parse_problem_file(str(path))
 
 
 def test_build_operator_variants():
@@ -357,6 +381,22 @@ def test_streamed_csv_equals_in_memory_trace(tmp_path, capsys, store_every):
             want = trace_csv(problem, method, int(store_every))
             assert out.read_bytes() == want, method
     capsys.readouterr()
+
+
+def test_parse_reads_the_file_in_one_pass(tmp_path):
+    # Holding every line of a 200 x 1000 file as text at once (about 4 MB)
+    # would peak at several times the parsed matrix.
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((200, 1000))
+    problem = write_rows_problem(tmp_path, "rows.txt", np.zeros(1000), a, a.sum(axis=1))
+    tracemalloc.start()
+    try:
+        _, sets = parse_problem_file(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sets) == 200
+    assert peak < 2 * a.shape[0] * (a.shape[1] + 1) * 8
 
 
 def test_solve_memory_does_not_grow_with_iterations(tmp_path, capsys):

@@ -158,6 +158,11 @@ def test_span_orthonormality_repair_and_rejection():
     for basis in ([[1e200], [0.0]], [[1e200, 1e200], [1e200, -1e200]]):
         with pytest.raises(ValueError, match="not orthonormal"):
             Span(np.zeros(2), np.array(basis))
+    # A basis is a (d, r) array with the anchor's d, and nothing else.
+    for basis, got in ((np.array([1.0, 0.0]), r"shape \(2,\)"),
+                       ([[1.0], [0.0]], "list"), (np.eye(3)[:, :1], r"shape \(3, 1\)")):
+        with pytest.raises(ValueError, match=rf"\(d, r\) array with d = 2, got {got}"):
+            Span(np.zeros(2), basis)
 
 
 def test_normal_form_failures():
