@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import HalfSpace, as_vector
+from .geometry import HalfSpace, _finite, as_vector
 from .operators import CycleOperator, DouglasRachfordOperator
 
 __all__ = [
@@ -29,12 +29,10 @@ __all__ = [
 
 # Relative fixed-point threshold: below it the step degenerates to t = 1.
 FIX_TOL = 1e-14
-# A set counts as containing the origin (linear) within this residual.
-LINEAR_ORIGIN_TOL = 1e-10
 # An oracle witness must be fixed by the operator within this relative bound.
 ORACLE_WITNESS_TOL = 1e-8
 
-_VARIANTS = ("unit", "gk-linear", "gk-affine", "oracle")
+_VARIANTS = ("unit", "gk-affine", "oracle")
 
 
 class NumericalFailureError(RuntimeError):
@@ -47,7 +45,8 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepRule:
-    """The t_k rule by name: StepRule(name), or StepRule("oracle", m) with witness m."""
+    """One rule per step formula: StepRule("unit"), StepRule("gk-affine"), or
+    StepRule("oracle", m) with finite witness m (m = 0 is the linear GK step)."""
 
     variant: str
     m: Optional[np.ndarray] = None
@@ -58,7 +57,7 @@ class StepRule:
         if self.variant == "oracle":
             if self.m is None:
                 raise ValueError("oracle rule needs a witness point m")
-            object.__setattr__(self, "m", as_vector(self.m))
+            object.__setattr__(self, "m", _finite(self.m, "oracle witness m"))
         elif self.m is not None:
             raise ValueError("only the oracle rule carries a witness point")
 
@@ -86,7 +85,7 @@ class SolveConfig:
         if self.store_every < 0:
             raise ValueError("store_every must be nonnegative")
         if self.solution is not None:
-            self.solution = as_vector(self.solution)
+            self.solution = _finite(self.solution, "solution")
 
 
 @dataclass
@@ -165,36 +164,29 @@ def step_oracle(x, qx, m) -> float:
 
     For affine cycles this matches the trace-based step exactly; for
     general firmly quasi-nonexpansive cycles it is bounded below by it.
-    At m = 0 it is the step toward the origin that cycles of linear
-    subspaces take.
+    At m = 0 it is the linear Gearhart-Koshy step, toward the origin that
+    every linear subspace contains; solve takes it as
+    StepRule("oracle", np.zeros(d)).
     """
     x, d, gap_sq = _displacement(x, qx)
     return _witness_step(d, x, as_vector(m), gap_sq)
 
 
 def _validate_rule(op, rule: StepRule) -> None:
-    v = rule.variant
-    affine_cycle = isinstance(op, CycleOperator) and not any(
-        isinstance(s, HalfSpace) for s in op.sets
-    )
-    if v == "gk-affine":
+    if rule.variant == "gk-affine":
+        affine_cycle = isinstance(op, CycleOperator) and not any(
+            isinstance(s, HalfSpace) for s in op.sets
+        )
         if not (affine_cycle or isinstance(op, DouglasRachfordOperator)):
             raise ValueError(
                 "gk-affine rule drives a CycleOperator of affine sets"
                 " or a DouglasRachfordOperator"
             )
-    elif v == "gk-linear":
-        if not (affine_cycle and not op.symmetric):
-            raise ValueError(
-                "gk-linear rule drives a cyclic CycleOperator of affine sets"
-            )
-        origin = np.zeros(op.dim)
-        if any(s.residual(origin) > LINEAR_ORIGIN_TOL for s in op.sets):
-            raise ValueError("gk-linear rule needs every set through the origin")
-    elif v == "oracle":
+    elif rule.variant == "oracle":
+        # The one check that the known point solves the cycle; a nan drift fails it.
         m = rule.m
         drift = float(np.linalg.norm(op.apply(m) - m))
-        if drift > ORACLE_WITNESS_TOL * (1.0 + float(np.linalg.norm(m))):
+        if not drift <= ORACLE_WITNESS_TOL * (1.0 + float(np.linalg.norm(m))):
             raise ValueError(
                 f"oracle witness is not fixed by the operator (drift {drift:.3e})"
             )
@@ -225,8 +217,6 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
 
     variant = rule.variant
     needs_increments = variant == "gk-affine"
-    # gk-linear is the witness step toward the origin; x - 0.0 is x bitwise.
-    m = rule.m if variant == "oracle" else 0.0
     x = op.apply(x0) if needs_increments and op.symmetric else x0.copy()
 
     trace = IterationTrace(start=x, final=x, iterations=0, converged=False)
@@ -257,7 +247,7 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
                 if needs_increments:
                     t = _trace_step(gap_sq, inc)
                 else:
-                    t = _witness_step(d, x, m, gap_sq)
+                    t = _witness_step(d, x, rule.m, gap_sq)
                 x_new = x + t * d
         if sol is not None:
             # An x_new equal to x has x's distance bitwise, so compare only then.

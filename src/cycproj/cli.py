@@ -63,7 +63,7 @@ SOLVE_METHODS = ("cp", "gk-affine", "sym-cp", "accel-sym-cp", "dr", "accel-dr")
 BENCH_METHODS = ("cp", "accel-cp", "sym-cp", "accel-sym-cp")
 SWEEP_METHODS = ("cp", "gk-affine")
 
-# x0 is declared already feasible when every constraint residual sits below
+# x0 is declared already feasible when its distance to every set sits below
 # this relative bound; the solve then reports zero iterations.
 FEASIBLE_X0_TOL = 1e-12
 # The exact-projection oracle is skipped when constraint rows times ambient
@@ -255,7 +255,7 @@ def cmd_solve(args) -> int:
     with np.errstate(all="ignore"):
         x0, sets = parse_problem_file(args.problem)
         op, rule = build_operator(sets, method)
-        worst = max(s.residual(x0) for s in sets)
+        worst = math.sqrt(max(s.project_with_gap(x0)[1] for s in sets))
         bound = FEASIBLE_X0_TOL * (1.0 + float(np.linalg.norm(x0)))
         # An overflowing start reads inf on both sides; it is not feasible.
         if np.isfinite(bound) and worst <= bound:

@@ -51,6 +51,13 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _finite(x, what: str) -> np.ndarray:
+    v = as_vector(x)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be finite")
+    return v
+
+
 def _check_dim(dim: int, x: np.ndarray) -> None:
     if x.shape[0] != dim:
         raise DimensionMismatchError(
@@ -147,11 +154,6 @@ class Hyperplane:
         c = (float(self.normal.dot(x)) - self.offset) / self._nsq
         return x - c * self.normal, c * c * self._nsq
 
-    def residual(self, x: np.ndarray) -> float:
-        """Distance from x to the set."""
-        _check_dim(self.dim, x)
-        return abs(self.normal @ x - self.offset) / np.sqrt(self._nsq)
-
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows A and values b with the set equal to {x : A x = b}."""
         return self.normal[None, :], np.array([self.offset])
@@ -165,10 +167,8 @@ class Span:
     basis: np.ndarray
 
     def __post_init__(self):
-        anchor = as_vector(self.anchor)
+        anchor = _finite(self.anchor, "span anchor")
         basis = _orthonormal(self.basis, anchor.shape[0])
-        if not np.all(np.isfinite(anchor)):
-            raise ValueError("span anchor must be finite")
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "basis", basis)
 
@@ -190,10 +190,6 @@ class Span:
         p = self.project(x)
         g = x - p
         return p, float(g @ g)
-
-    def residual(self, x: np.ndarray) -> float:
-        p = self.project(x)
-        return float(np.linalg.norm(x - p))
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         # The complement of col(basis); all of R^d (exactly I) at rank 0.
@@ -231,10 +227,6 @@ class HalfSpace:
             return x, 0.0
         c = slack / self._nsq
         return x - c * self.normal, c * c * self._nsq
-
-    def residual(self, x: np.ndarray) -> float:
-        _check_dim(self.dim, x)
-        return max(0.0, float(self.normal @ x - self.offset)) / np.sqrt(self._nsq)
 
 
 # Affine sets admit reflectors and span/constraint forms; half-spaces only

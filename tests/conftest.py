@@ -93,6 +93,17 @@ def textbook_projection(s, x):
     return x - c * a, c * c * (a @ a)
 
 
+def distance(s, x):
+    """|a @ x - b| / |a| from x to a Hyperplane {a @ x = b}, or the positive
+    part of a @ x - b over |a| to a HalfSpace {a @ x <= b}; the test-local
+    distance formula, apart from the projectors' own arithmetic.
+    """
+    slack = float(s.normal @ x - s.offset)
+    if isinstance(s, HalfSpace):
+        slack = max(0.0, slack)
+    return abs(slack) / float(np.linalg.norm(s.normal))
+
+
 def translate_check(x, s, y):
     """Project via the translation identity P_S(x) = P_{S-y}(x-y) + y.
 
@@ -163,6 +174,37 @@ def contraction_factors(trace, eps):
     """
     prev = [trace.initial_dist] + trace.dists[:-1]
     return [None if p <= eps * eps else d / p for p, d in zip(prev, trace.dists)]
+
+
+# The GK step's Pythagorean identity, summed from row k to the last row K:
+# dist_k^2 = dist_K^2 + sum_{j>k} change_j^2.  gk-affine and accel-sym-cp
+# met it to at most 1.35e-9 relative on the rows that gk_identity_misfits
+# keeps (golden CLI solves, and row-kernel solves at 2000 x 1000 and
+# 600 x 500 in both modes, seeds 0-3); the bound leaves a factor 7.
+GK_IDENTITY_TOL = 1e-8
+
+
+def gk_identity_misfits(dists, changes, x0_norm):
+    """|dist_k^2 - (dist_K^2 + sum_{j>k} change_j^2)| / dist_k^2 per kept row.
+
+    Every update of an exact line search toward p = P_M(x0) on an affine
+    cycle has |x_k - p|^2 = |x_{k+1} - p|^2 + (t_k |Qx_k - x_k|)^2, and the
+    change column is the last term's root.  The cumulative form avoids the
+    cancellation of per-row differences near convergence.
+
+    Rows whose dist_k sits at roundoff are dropped by one fixed rule.  A
+    computed distance is off by about eps |x0| in absolute terms (at most
+    2.2 eps |x0| measured), from rounding the iterates and the target, and
+    that moves dist_k^2 by twice dist_k times it.  A row is kept when
+    20 eps |x0| dist_k, ten times that shift at one eps |x0|, is below
+    GK_IDENTITY_TOL dist_k^2; rounding alone then stays well inside the bound.
+    """
+    dists = np.asarray(dists, dtype=float)
+    sq = np.asarray(changes, dtype=float) ** 2
+    tail = np.append(np.cumsum(sq[::-1])[::-1][1:], 0.0)
+    keep = GK_IDENTITY_TOL * dists > 20.0 * np.finfo(float).eps * x0_norm
+    d2 = dists[keep] ** 2
+    return np.abs(d2 - (dists[-1] ** 2 + tail[keep])) / d2
 
 
 def stacked_rows(sets):

@@ -17,6 +17,7 @@ from cycproj.acceleration import (
     step_oracle,
 )
 from cycproj.analysis import exact_projection
+from cycproj.cli import angle_instance
 from cycproj.geometry import HalfSpace, Hyperplane
 from cycproj.operators import (
     ROW_BLOCK,
@@ -26,7 +27,10 @@ from cycproj.operators import (
 )
 
 from conftest import (
+    GK_IDENTITY_TOL,
     contraction_factors,
+    distance,
+    gk_identity_misfits,
     lstsq_projection,
     random_affine_instance,
     sample_point,
@@ -42,19 +46,24 @@ DIAGONAL = Hyperplane(np.array([1.0, -1.0]), 0.0)
 
 
 def test_step_rule_constructors_and_validation():
-    for name in ("unit", "gk-linear", "gk-affine"):
+    for name in ("unit", "gk-affine"):
         assert StepRule(name).variant == name
         with pytest.raises(ValueError):
             StepRule(name, m=np.zeros(2))
-    # gk-affine drives the symmetric composites too; they have no rule names
-    for name in ("symmetric", "symmetric-dr"):
-        with pytest.raises(ValueError):
+    # gk-affine drives the symmetric composites too; they have no rule names.
+    # The linear step is the oracle rule at the origin, with no name of its own.
+    for name in ("symmetric", "symmetric-dr", "gk-linear"):
+        with pytest.raises(ValueError, match=f"^unknown step rule '{name}'$"):
             StepRule(name)
     r = StepRule("oracle", np.array([1.0, 2.0]))
     assert r.variant == "oracle"
     assert np.array_equal(r.m, [1.0, 2.0])
     with pytest.raises(ValueError):
         StepRule("oracle")
+    # A non-finite witness is refused before any arithmetic touches it.
+    for m in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="^oracle witness m must be finite$"):
+            StepRule("oracle", m)
     with pytest.raises(ValueError):
         StepRule("newton")
     # A rule is built by name only, with no classmethod alias per name.
@@ -177,7 +186,7 @@ def test_solve_steps_are_the_step_functions_bitwise():
         (CycleOperator(tuple(sets), mode="symmetric"), StepRule("gk-affine"), None),
         (dr, StepRule("gk-affine"), None),
         (CycleOperator(tuple(sets)), StepRule("oracle", m), m),
-        (CycleOperator(tuple(linear)), StepRule("gk-linear"), np.zeros(5)),
+        (CycleOperator(tuple(linear)), StepRule("oracle", np.zeros(5)), np.zeros(5)),
     ]
     for op, rule, witness in runs:
         start = x0 if op.dim == 6 else 4.0 * rng.standard_normal(op.dim)
@@ -374,24 +383,26 @@ def test_solve_rejects_unfixed_oracle_witness():
 def test_solve_rule_operator_pairing_errors():
     cyc = CycleOperator((XAXIS, DIAGONAL))
     x0 = np.array([1.0, 2.0])
+    # the linear step's witness, the origin, must lie on every set
     offset = CycleOperator((Hyperplane(np.array([1.0, 0.0]), 5.0),))
-    with pytest.raises(ValueError):
-        solve(offset, StepRule("gk-linear"), x0, SolveConfig())
+    with pytest.raises(ValueError, match="witness is not fixed by the operator"):
+        solve(offset, StepRule("oracle", np.zeros(2)), x0, SolveConfig())
     with pytest.raises(ValueError):
         solve(cyc, StepRule("unit"), np.zeros(3), SolveConfig())
     # a solution of the wrong length would broadcast into the distances
     for length in (1, 3):
         with pytest.raises(ValueError):
             solve(cyc, StepRule("unit"), x0, SolveConfig(solution=np.zeros(length)))
+    # a non-finite solution is refused before the first update
+    for sol in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="^solution must be finite$"):
+            solve(cyc, StepRule("unit"), x0, SolveConfig(solution=sol))
     # half-space cycles take only the unit and oracle rules
     halves = (HalfSpace(XAXIS.normal, 0.0), HalfSpace(DIAGONAL.normal, 0.0))
-    for mode, rule in (
-        ("cyclic", StepRule("gk-affine")),
-        ("cyclic", StepRule("gk-linear")),
-        ("symmetric", StepRule("gk-affine")),
-    ):
-        with pytest.raises(ValueError):
-            solve(CycleOperator(halves, mode=mode), rule, x0, SolveConfig())
+    for mode in ("cyclic", "symmetric"):
+        op = CycleOperator(halves, mode=mode)
+        with pytest.raises(ValueError, match="gk-affine rule drives"):
+            solve(op, StepRule("gk-affine"), x0, SolveConfig())
 
 
 def test_solve_limits_match_stacked_least_squares():
@@ -559,4 +570,40 @@ def test_halfspace_cycle_reaches_feasibility():
         tr = solve(cycle, rule, x0, SolveConfig(eps=1e-10))
         assert tr.converged
         for h in halfspaces:
-            assert h.residual(tr.final) <= 1e-8
+            assert distance(h, tr.final) <= 1e-8
+
+
+def test_gk_updates_meet_the_pythagorean_identity_on_the_row_kernel():
+    # Every update of gk-affine, on either mode of a row-kernel system, is an
+    # exact line search toward p = P_M(x0): x0 = p + A^T w at distance 10, as
+    # perfbench builds its systems, so p is known without a solve.
+    for m, n in ((2000, 1000), (600, 500)):
+        rng = np.random.default_rng([12, m, n])
+        a = rng.standard_normal((n, m))
+        p = rng.standard_normal(m)
+        shift = a.T @ rng.standard_normal(n)
+        x0 = p + (10.0 / np.linalg.norm(shift)) * shift
+        cycle = CycleOperator.from_rows(a, a @ p)
+        for mode in ("cyclic", "symmetric"):
+            op = cycle.with_mode(mode)
+            tr = solve(op, StepRule("gk-affine"), x0, SolveConfig(eps=1e-6))
+            assert tr.converged
+            dists = [np.linalg.norm(x - p) for x in tr.iterates]
+            misfits = gk_identity_misfits(dists, tr.changes, np.linalg.norm(x0))
+            assert len(misfits) >= 0.5 * tr.iterations, (m, mode)
+            assert misfits.max() <= GK_IDENTITY_TOL, (m, mode)
+
+
+def test_symmetric_gk_step_solves_two_lines_in_one_update():
+    # After the advance x = S x0, the last stage put x on line 1, and Sx and
+    # x* lie on it too, so one exact line search lands on x*.  Every start
+    # of the criterion-08 grid: the CLI's default angles and angle-sweep's
+    # points and starts at seed 0, with 10 starts each.
+    for j, theta in enumerate(0.01 + 0.01 * np.arange(157)):
+        xstar = np.random.default_rng([0, j]).standard_normal(2)
+        op = CycleOperator(tuple(angle_instance(theta, xstar)), mode="symmetric")
+        cfg = SolveConfig(eps=1e-9, solution=xstar, store_every=0)
+        for r in range(10):
+            v = np.random.default_rng([0, j, r]).standard_normal(2)
+            tr = solve(op, StepRule("gk-affine"), (10.0 / np.linalg.norm(v)) * v, cfg)
+            assert tr.converged and tr.iterations == 1, (theta, r)

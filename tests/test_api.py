@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import cycproj
+import cycproj.acceleration as acceleration
 import cycproj.cli as cli
 from cycproj.acceleration import IterationTrace
+from cycproj.geometry import HalfSpace, Hyperplane, Span
 
 
 @pytest.mark.parametrize(
@@ -52,6 +54,24 @@ def test_package_exports_are_pinned():
         "step_gk_affine",
         "step_oracle",
     ]
+
+
+def test_step_rules_and_set_methods_are_pinned():
+    # One rule per step formula, and one distance path per set kind
+    # (project_with_gap): a second path added back, such as a named rule for
+    # the linear step or a residual method, shows up as an edit here.
+    assert acceleration._VARIANTS == ("unit", "gk-affine", "oracle")
+
+    def public(cls):
+        return [name for name in dir(cls) if not name.startswith("_")]
+
+    assert public(Hyperplane) == [
+        "constraint_rows", "dim", "project", "project_with_gap"
+    ]
+    assert public(Span) == [
+        "constraint_rows", "dim", "project", "project_with_gap", "rank"
+    ]
+    assert public(HalfSpace) == ["dim", "project", "project_with_gap"]
 
 
 def test_benchmark_hooks(monkeypatch):

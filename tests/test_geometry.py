@@ -13,6 +13,7 @@ from cycproj.geometry import (
 )
 
 from conftest import (
+    distance,
     orthonormal_columns,
     random_affine_instance,
     sample_point,
@@ -312,7 +313,7 @@ def test_hyperplane_span_form_agrees():
         assert np.linalg.norm(h.project(x) - s.project(x)) <= 1e-10 * (
             1.0 + np.linalg.norm(x)
         )
-        assert h.residual(s.anchor) <= 1e-12
+        assert distance(h, s.anchor) <= 1e-12
 
 
 @given(
@@ -329,7 +330,7 @@ def test_projection_shrinks_distance_property(d, seed, b):
     h = Hyperplane(a, b)
     x = 5.0 * rng.standard_normal(d)
     p = h.project(x)
-    assert h.residual(p) <= 1e-10 * (1.0 + np.linalg.norm(x))
+    assert distance(h, p) <= 1e-10 * (1.0 + np.linalg.norm(x))
     q = h.project(p)
     assert np.linalg.norm(q - p) <= IDEM_TOL * (1.0 + np.linalg.norm(x))
 
@@ -340,4 +341,4 @@ def test_halfspace_projection_never_increases_residual(d, seed):
     rng = np.random.default_rng(seed)
     h = HalfSpace(rng.standard_normal(d) + 0.1, float(rng.standard_normal()))
     x = 5.0 * rng.standard_normal(d)
-    assert h.residual(h.project(x)) <= 1e-10 * (1.0 + np.linalg.norm(x))
+    assert distance(h, h.project(x)) <= 1e-10 * (1.0 + np.linalg.norm(x))

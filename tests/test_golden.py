@@ -21,7 +21,9 @@ import numpy as np
 import pytest
 
 import cycproj
-from cycproj.cli import main
+from cycproj.cli import main, parse_problem_file
+
+from conftest import GK_IDENTITY_TOL, gk_identity_misfits
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 SOURCE_ROOT = Path(cycproj.__file__).resolve().parents[1]
@@ -168,6 +170,34 @@ def test_store_every_thins_the_solve_rows(tmp_path, capsys):
         kept = [row for k, row in enumerate(lines[1:], 1) if k % 3 == 0 or k == n]
         assert runs["3"] == (code, err, lines[:1] + kept), name
         assert runs["0"] == (code, err, lines[:1]), name
+
+
+def test_gk_solve_rows_meet_the_pythagorean_identity(tmp_path, capsys):
+    # Each gk-affine and accel-sym-cp update is an exact line search toward
+    # the oracle's target, so every stored row meets the summed identity
+    # (conftest.gk_identity_misfits).  accel-dr is left out: its distance
+    # column is the shadow's, and the identity holds for the iterate.
+    kept = {}
+    for name, argv, _ in cases(problem_files(tmp_path)):
+        if argv[0] != "solve" or argv[3] not in ("gk-affine", "accel-sym-cp"):
+            continue
+        out = tmp_path / f"{name}.csv"
+        main(argv + ["--out", str(out)])
+        capsys.readouterr()
+        if not out.exists():  # the parallel lines have no common point
+            continue
+        header, *rows = out.read_text().splitlines()
+        assert header == "k,t_k,successive_change,dist_to_solution", name
+        cols = np.array([row.split(",") for row in rows], dtype=float)
+        x0, _ = parse_problem_file(argv[1])
+        misfits = gk_identity_misfits(cols[:, 3], cols[:, 2], np.linalg.norm(x0))
+        assert misfits.max(initial=0.0) <= GK_IDENTITY_TOL, name
+        kept[name] = len(misfits)
+    # The pair and pair-point accelerated runs land at roundoff in one or two
+    # updates and keep no row; the three slower runs keep at least 20 each.
+    assert len(kept) == 6, kept
+    assert min(kept[f"solve-{p}-gk-affine"] for p in ("system", "pair")) >= 20, kept
+    assert kept["solve-system-accel-sym-cp"] >= 20, kept
 
 
 if __name__ == "__main__":
