@@ -12,6 +12,7 @@ from .geometry import (
     HalfSpace,
     Hyperplane,
     InfeasibleProblemError,
+    NumericalFailureError,
     Span,
 )
 from .operators import (
@@ -21,7 +22,6 @@ from .operators import (
 )
 from .acceleration import (
     IterationTrace,
-    NumericalFailureError,
     SolveConfig,
     StepRule,
     solve,

@@ -14,11 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import HalfSpace, _finite, as_vector
-from .operators import CycleOperator, DouglasRachfordOperator
+from .geometry import NumericalFailureError, _finite, as_vector
 
 __all__ = [
-    "NumericalFailureError",
     "StepRule",
     "SolveConfig",
     "IterationTrace",
@@ -33,14 +31,6 @@ FIX_TOL = 1e-14
 ORACLE_WITNESS_TOL = 1e-8
 
 _VARIANTS = ("unit", "gk-affine", "oracle")
-
-
-class NumericalFailureError(RuntimeError):
-    """A non-finite value appeared during iteration."""
-
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite value at iteration {iteration}")
-        self.iteration = iteration
 
 
 @dataclass(frozen=True)
@@ -62,7 +52,7 @@ class StepRule:
             raise ValueError("only the oracle rule carries a witness point")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
     """Iteration limits, termination rule and trace thinning.
 
@@ -85,14 +75,15 @@ class SolveConfig:
         if self.store_every < 0:
             raise ValueError("store_every must be nonnegative")
         if self.solution is not None:
-            self.solution = _finite(self.solution, "solution")
+            object.__setattr__(self, "solution", _finite(self.solution, "solution"))
 
 
 @dataclass
 class IterationTrace:
     """Outcome of one solve, with per-update records (possibly thinned).
 
-    Row i describes completed update ks[i]: the step taken, the iterate it
+    stop is why the run ended: "converged", "stalled" or "max-iter".  Row i
+    describes completed update ks[i]: the step taken, the iterate it
     produced, the change it caused, and (when the solution is known) the
     distance it achieved.  The rows hold one d-vector each; a solve that
     streams them through on_row leaves them empty.
@@ -101,13 +92,17 @@ class IterationTrace:
     start: np.ndarray
     final: np.ndarray
     iterations: int
-    converged: bool
+    stop: str
     ks: list[int] = field(default_factory=list)
     steps: list[float] = field(default_factory=list)
     changes: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
     dists: Optional[list[float]] = None
     initial_dist: Optional[float] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
     def keep(self, k: int, t: float, change: float, x: np.ndarray, dist) -> None:
         """Append the row of update k (dist is kept when dists is a list)."""
@@ -174,19 +169,17 @@ def step_oracle(x, qx, m) -> float:
 
 def _validate_rule(op, rule: StepRule) -> None:
     if rule.variant == "gk-affine":
-        affine_cycle = isinstance(op, CycleOperator) and not any(
-            isinstance(s, HalfSpace) for s in op.sets
-        )
-        if not (affine_cycle or isinstance(op, DouglasRachfordOperator)):
+        if not getattr(op, "affine", False):
             raise ValueError(
                 "gk-affine rule drives a CycleOperator of affine sets"
                 " or a DouglasRachfordOperator"
             )
     elif rule.variant == "oracle":
         # The one check that the known point solves the cycle; a nan drift fails it.
+        # math.hypot scales its arguments, so 2-norms past 1e154 do not overflow.
         m = rule.m
-        drift = float(np.linalg.norm(op.apply(m) - m))
-        if not drift <= ORACLE_WITNESS_TOL * (1.0 + float(np.linalg.norm(m))):
+        drift = math.hypot(*(op.apply(m) - m))
+        if not drift <= ORACLE_WITNESS_TOL * (1.0 + math.hypot(*m)):
             raise ValueError(
                 f"oracle witness is not fixed by the operator (drift {drift:.3e})"
             )
@@ -198,11 +191,11 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     On a symmetric composite (cycle or Douglas-Rachford pair) the
     gk-affine rule first advances the start point by one application of
     the composite, per its derivation; reported iterations count updates
-    after that.  The run stops at the first of three events: the
-    configured criterion is met (the only stop flagged converged), an
-    update leaves the iterate bitwise unchanged (a stall), or max_iter
-    updates are done.  With store_every > 0 the row of the last update
-    is always stored, whether or not store_every divides its index.
+    after that.  The run stops at the first of three events, named by
+    trace.stop: the criterion is met ("converged"), an update leaves the
+    iterate bitwise unchanged ("stalled"), or max_iter updates are done
+    ("max-iter").  With store_every > 0 the row of the last update is
+    always stored, whether or not store_every divides its index.
 
     With on_row given, each stored row goes to on_row(k, t_k, change, x_k)
     in the order the trace would keep it, and the trace's per-row lists
@@ -219,12 +212,11 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     needs_increments = variant == "gk-affine"
     x = op.apply(x0) if needs_increments and op.symmetric else x0.copy()
 
-    trace = IterationTrace(start=x, final=x, iterations=0, converged=False)
+    trace = IterationTrace(start=x, final=x, iterations=0, stop="converged")
     if sol is not None:
         trace.dists = []
         trace.initial_dist = float(np.linalg.norm(x - sol))
         if trace.initial_dist < cfg.eps:
-            trace.converged = True
             return trace
     # One sink for stored rows: on_row, or the trace's own lists.
     keep = trace.keep if on_row is None else (lambda k, t, c, z, _: on_row(k, t, c, z))
@@ -232,7 +224,7 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     eps, store_every = cfg.eps, cfg.store_every
     step = op.apply_with_increments if needs_increments else op.apply
     lazy = sol is not None and variant == "unit"  # Qx - x read by stored rows only
-    k, done, dist = 0, False, trace.initial_dist
+    k, done, stalled, dist = 0, False, False, trace.initial_dist
     for k in range(1, cfg.max_iter + 1):
         if needs_increments:
             y, inc = step(x)
@@ -272,7 +264,7 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
         if last:
             break
 
-    trace.converged = done
+    trace.stop = "converged" if done else "stalled" if stalled else "max-iter"
     trace.iterations = k
     trace.final = x
     return trace

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .acceleration import NumericalFailureError
 from .geometry import (
     AffineSet,
+    NumericalFailureError,
     _affine_dim,
     _check_dim,
     _orthonormal,

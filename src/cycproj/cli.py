@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .acceleration import NumericalFailureError, SolveConfig, StepRule, solve
+from .acceleration import SolveConfig, StepRule, solve
 from .analysis import exact_projection
-from .geometry import Hyperplane, InfeasibleProblemError, Span
+from .geometry import Hyperplane, InfeasibleProblemError, NumericalFailureError, Span
 from .operators import CycleOperator, DouglasRachfordOperator
 
 __all__ = [
@@ -261,7 +261,7 @@ def cmd_solve(args) -> int:
         if np.isfinite(bound) and worst <= bound:
             with _open_out(args.out) as fh:
                 fh.write("k,t_k,successive_change\n")
-            _summary(method, True, 0, x0)
+            _summary(method, "converged", 0, x0)
             return 0
 
         target = _solution_estimate(x0, sets)
@@ -286,12 +286,12 @@ def cmd_solve(args) -> int:
                 fh.write(line % cols)
 
             trace = solve(op, rule, x0, cfg, on_row=write_row)
-    _summary(method, trace.converged, trace.iterations, shadow(trace.final))
+    _summary(method, trace.stop, trace.iterations, shadow(trace.final))
     return 0 if trace.converged else 2
 
 
-def _summary(method: str, converged: bool, iterations: int, final: np.ndarray) -> None:
-    state = "converged" if converged else "hit the iteration limit"
+def _summary(method: str, stop: str, iterations: int, final: np.ndarray) -> None:
+    state = "hit the iteration limit" if stop == "max-iter" else stop
     coords = " ".join(_fmt(v, TRACE_DIGITS) for v in final)
     print(f"{method}: {state} after {iterations} iterations", file=sys.stderr)
     print(f"final: {coords}", file=sys.stderr)

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "DimensionMismatchError",
     "InfeasibleProblemError",
+    "NumericalFailureError",
     "Hyperplane",
     "Span",
     "HalfSpace",
@@ -41,6 +42,14 @@ class DimensionMismatchError(ValueError):
 
 class InfeasibleProblemError(ValueError):
     """The stated constraints admit no common point."""
+
+
+class NumericalFailureError(RuntimeError):
+    """A non-finite value appeared during iteration."""
+
+    def __init__(self, iteration: int):
+        super().__init__(f"non-finite value at iteration {iteration}")
+        self.iteration = iteration
 
 
 def as_vector(x) -> np.ndarray:
@@ -111,36 +120,39 @@ def _row_basis(a: np.ndarray, null: bool = False) -> np.ndarray:
     return (vt[r:] if null else vt[:r]).T
 
 
-def _set_normal_form(s, what: str) -> None:
-    """Validate and store a frozen set's normal, offset and |normal|^2."""
-    normal = as_vector(s.normal)
-    offset = float(s.offset)
-    # A finite, positive |normal|^2 proves every entry finite: a non-finite
-    # entry makes it inf or nan, and an overflow makes it inf.
-    with np.errstate(over="ignore"):
-        nsq = float(normal @ normal)
-    if not (0.0 < nsq < math.inf and math.isfinite(offset)):
-        if not (math.isfinite(offset) and np.all(np.isfinite(normal))):
-            raise ValueError(f"{what} data must be finite")
-        raise ValueError(f"{what} normal must be nonzero, with a finite squared norm")
-    object.__setattr__(s, "normal", normal)
-    object.__setattr__(s, "offset", offset)
-    object.__setattr__(s, "_nsq", nsq)
-
-
 @dataclass(frozen=True)
-class Hyperplane:
-    """The set {x : <normal, x> = offset}, normal nonzero."""
+class _NormalForm:
+    """A set's normal, offset and |normal|^2, checked once; _what names it."""
 
     normal: np.ndarray
     offset: float
 
     def __post_init__(self):
-        _set_normal_form(self, "hyperplane")
+        normal = as_vector(self.normal)
+        offset = float(self.offset)
+        # A finite, positive |normal|^2 proves every entry finite: a non-finite
+        # entry makes it inf or nan, and an overflow makes it inf.
+        with np.errstate(over="ignore"):
+            nsq = float(normal @ normal)
+        if not (0.0 < nsq < math.inf and math.isfinite(offset)):
+            if not (math.isfinite(offset) and np.all(np.isfinite(normal))):
+                raise ValueError(f"{self._what} data must be finite")
+            raise ValueError(
+                f"{self._what} normal must be nonzero, with a finite squared norm"
+            )
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "_nsq", nsq)
 
     @property
     def dim(self) -> int:
         return self.normal.shape[0]
+
+
+class Hyperplane(_NormalForm):
+    """The set {x : <normal, x> = offset}, normal nonzero."""
+
+    _what = "hyperplane"
 
     def project(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.normal.shape[0]:
@@ -197,19 +209,10 @@ class Span:
         return comp.T, comp.T @ self.anchor
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(_NormalForm):
     """The set {x : <normal, x> <= offset}, normal nonzero."""
 
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        _set_normal_form(self, "half-space")
-
-    @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
+    _what = "half-space"
 
     def project(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.normal.shape[0]:

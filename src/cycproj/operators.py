@@ -1,10 +1,10 @@
 """Composite fixed-point operators built from projectors.
 
 Cyclic and symmetric projection cascades over affine sets or half-spaces,
-and Douglas-Rachford compositions of affine pairs.  Every operator
-exposes two evaluation routes: plain apply, and apply with accumulated
-squared stage increments (the cheap form the accelerated solvers
-consume).  The row-by-row reference that keeps every stage is
+and Douglas-Rachford compositions of affine pairs.  Each has what `solve`
+drives: `dim`, `symmetric`, `affine` (every set affine, as gk-affine
+needs), `apply` and `apply_with_increments`, which adds the squared stage
+increments.  The row-by-row reference that keeps every stage is
 `stage_trace` in tests/conftest.py.
 
 A `CycleOperator` whose sets are all hyperplanes, at least ROW_BLOCK of
@@ -20,7 +20,7 @@ agree with the row loop to roundoff, not bitwise.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from .geometry import (
     RANK_CUTOFF,
     AffineSet,
+    HalfSpace,
     Hyperplane,
     InfeasibleProblemError,
     Span,
@@ -113,8 +114,8 @@ class CycleOperator:
     mode "cyclic" applies the projectors once in order; mode "symmetric"
     goes forward through all sets and then back through all but the last,
     which makes the composite self-adjoint in the linear case.  A cycle
-    with a half-space is only firmly quasi-nonexpansive; the line-search
-    step rules other than `oracle` need every set to be affine.
+    with a half-space is only firmly quasi-nonexpansive, so `affine`, which
+    the gk-affine step rule needs, is True only when no set is a HalfSpace.
 
     When every set is a Hyperplane and there are at least ROW_BLOCK of
     them, `apply` and `apply_with_increments` run the stacked row kernel
@@ -127,6 +128,7 @@ class CycleOperator:
     sets: tuple
     mode: str = "cyclic"
     _kernel: InitVar[Optional[_RowKernel]] = None
+    affine: bool = field(init=False)
 
     def __post_init__(self, kernel):
         sets = tuple(self.sets)
@@ -144,6 +146,8 @@ class CycleOperator:
         ):
             kernel = _RowKernel(np.stack([s.normal for s in sets]), sets)
         object.__setattr__(self, "sets", sets)
+        affine = not any(isinstance(s, HalfSpace) for s in sets)
+        object.__setattr__(self, "affine", affine)
         object.__setattr__(self, "_stage_sets", stage_sets)
         object.__setattr__(self, "_kernel", kernel)
 
@@ -206,13 +210,14 @@ class DouglasRachfordOperator:
     One application takes two averaged double reflections, 0.5 (x + R_b R_a x)
     with R_s = 2 P_s - I: the first through `first` and then `second`, the
     second back through `second` and then `first`.  The composite is
-    self-adjoint in the linear case; `symmetric` is always True.  The
-    one-sided half step alone is `dr_half` in tests/conftest.py.
+    self-adjoint in the linear case; `symmetric` and `affine` are always
+    True.  The one-sided half step alone is `dr_half` in tests/conftest.py.
     """
 
     first: AffineSet
     second: AffineSet
     symmetric: ClassVar[bool] = True
+    affine: ClassVar[bool] = True
 
     def __post_init__(self):
         _affine_dim((self.first, self.second))

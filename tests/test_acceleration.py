@@ -1,6 +1,7 @@
 """Step-size rules and the relaxed iteration driver."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -81,6 +82,10 @@ def test_solve_config_validation():
         SolveConfig(store_every=-1)
     with pytest.raises(TypeError):
         SolveConfig(fix_tol=1e-3)  # the fixed-point tolerance is not a setting
+    # The checks hold after construction too: a config cannot be reassigned.
+    cfg = SolveConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.solution = np.array([np.nan, 0.0])
 
 
 def test_frozen_linear_step_example():
@@ -338,7 +343,7 @@ def test_solve_max_iter_flagged():
         np.array([5.0, 3.0]),
         SolveConfig(eps=1e-300, max_iter=7),
     )
-    assert not tr.converged
+    assert not tr.converged and tr.stop == "max-iter"
     assert tr.iterations == 7
     assert tr.ks == [1, 2, 3, 4, 5, 6, 7]
 
@@ -378,6 +383,13 @@ def test_solve_rejects_unfixed_oracle_witness():
     # the true intersection point passes
     tr = solve(op, StepRule("oracle", np.zeros(2)), np.array([1.0, 2.0]), SolveConfig())
     assert tr.converged
+    # The bound is a 2-norm computed without overflow, so a witness whose
+    # squared norm overflows is still refused when unfixed, and kept when fixed.
+    with pytest.raises(ValueError, match="witness is not fixed by the operator"):
+        solve(op, StepRule("oracle", [1e155, 1e155]), [1.0, 2.0], SolveConfig())
+    tr = solve(CycleOperator((XAXIS,)), StepRule("oracle", [1e155, 0.0]), [1.0, 2.0],
+               SolveConfig())
+    assert tr.converged and np.array_equal(tr.final, [1.0, 0.0])
 
 
 def test_solve_rule_operator_pairing_errors():
@@ -403,6 +415,32 @@ def test_solve_rule_operator_pairing_errors():
         op = CycleOperator(halves, mode=mode)
         with pytest.raises(ValueError, match="gk-affine rule drives"):
             solve(op, StepRule("gk-affine"), x0, SolveConfig())
+
+
+class _AffineDuck:
+    """A composite known to solve only by its members: the cycle over XAXIS
+    and DIAGONAL, declared affine, with no operator class of its own."""
+
+    dim, symmetric, affine = 2, False, True
+
+    def apply(self, x):
+        return DIAGONAL.project(XAXIS.project(x))
+
+    def apply_with_increments(self, x):
+        y, g = XAXIS.project_with_gap(x)
+        z, h = DIAGONAL.project_with_gap(y)
+        return z, np.array([g, h])
+
+
+def test_solve_drives_any_composite_that_declares_affine():
+    x0, cfg = np.array([1.0, 2.0]), SolveConfig(eps=1e-12)
+    duck = solve(_AffineDuck(), StepRule("gk-affine"), x0, cfg)
+    cycle = solve(CycleOperator((XAXIS, DIAGONAL)), StepRule("gk-affine"), x0, cfg)
+    assert duck.converged and duck.iterations == cycle.iterations
+    assert duck.steps == cycle.steps and np.array_equal(duck.final, cycle.final)
+    # A composite that does not declare affine is refused.
+    with pytest.raises(ValueError, match="gk-affine rule drives"):
+        solve(_RowLoop((XAXIS, DIAGONAL)), StepRule("gk-affine"), x0, cfg)
 
 
 def test_solve_limits_match_stacked_least_squares():
@@ -490,7 +528,7 @@ def test_stall_stops_unconverged_and_keeps_the_final_row():
                 eps=1e-9, max_iter=50, solution=np.array([1.0, 0.0]), store_every=j
             )
             tr = solve(op, rule, np.zeros(2), cfg)
-            assert not tr.converged
+            assert not tr.converged and tr.stop == "stalled"
             assert tr.iterations == 1 < cfg.max_iter
             assert tr.ks == [1]
             assert tr.steps == [1.0] and tr.changes == [0.0] and tr.dists == [1.0]
@@ -505,7 +543,7 @@ def test_stall_stops_unconverged_and_keeps_the_final_row():
                 eps=1e-9, max_iter=50, solution=np.array([1.0, 0.0]), store_every=j
             )
             tr = solve(op, rule, np.zeros(2), cfg)
-            assert not tr.converged
+            assert not tr.converged and tr.stop == "stalled"
             assert tr.iterations == 2 and tr.ks == ks
             assert np.array_equal(tr.final, np.array([1e-170, 0.0]))
 

@@ -1,6 +1,8 @@
-"""Every exported name resolves, the benchmark's hooks hold, the README's
-examples run, and the source stays within its line budget."""
+"""Every exported name resolves, the import graph holds, the benchmark's
+hooks hold, the README's examples run, and the source stays within its
+line budget."""
 
+import ast
 import importlib
 import os
 import re
@@ -72,6 +74,26 @@ def test_step_rules_and_set_methods_are_pinned():
         "constraint_rows", "dim", "project", "project_with_gap", "rank"
     ]
     assert public(HalfSpace) == ["dim", "project", "project_with_gap"]
+
+
+def test_import_graph_is_pinned():
+    # Each fact lives in one layer: geometry imports no sibling, the
+    # operators and the solver build on geometry alone, and the analysis on
+    # geometry and operators.  An import edge added back shows up here.
+    allowed = {
+        "geometry": set(),
+        "operators": {"geometry"},
+        "acceleration": {"geometry"},
+        "analysis": {"geometry", "operators"},
+    }
+    source = Path(cycproj.__file__).resolve().parent
+    for name, want in allowed.items():
+        tree = ast.parse((source / f"{name}.py").read_text())
+        got = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                got |= {node.module} if node.module else {a.name for a in node.names}
+        assert got <= want, (name, got - want)
 
 
 def test_benchmark_hooks(monkeypatch):

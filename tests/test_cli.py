@@ -27,6 +27,7 @@ from cycproj.cli import (
     ProblemFileError,
     UsageError,
     _build_parser,
+    _summary,
     angle_instance,
     angle_sweep,
     build_operator,
@@ -441,6 +442,12 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert "hit the iteration limit" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 2  # header plus the one row
 
+    # The summary names why a run stopped; only max-iter is the iteration limit.
+    for stop, state in (("converged", "converged"), ("stalled", "stalled"),
+                        ("max-iter", "hit the iteration limit")):
+        _summary("cp", stop, 3, np.zeros(2))
+        assert capsys.readouterr().err.startswith(f"cp: {state} after 3 iterations\n")
+
     infeasible = write_problem(
         tmp_path,
         "dim 2\nx0 1 2\nhyperplane 1 0 0\nhyperplane 2 0 5\n",
@@ -641,23 +648,23 @@ def test_hyperplane_bench_builds_each_row_system_once(monkeypatch):
     # per system, shared by the operators of all four methods.
     kernels, hyperplanes, ops = [], [], []
     real_kernel = cycproj.operators._RowKernel
-    real_form = cycproj.geometry._set_normal_form
+    real_form = cycproj.geometry._NormalForm.__post_init__
     real_solve = cycproj.cli.solve
 
     def counting_kernel(a, sets):
         kernels.append(sets)
         return real_kernel(a, sets)
 
-    def counting_form(s, what):
+    def counting_form(s):
         hyperplanes.append(s)
-        real_form(s, what)
+        real_form(s)
 
     def recording_solve(op, *args, **kwargs):
         ops.append(op)
         return real_solve(op, *args, **kwargs)
 
     monkeypatch.setattr(cycproj.operators, "_RowKernel", counting_kernel)
-    monkeypatch.setattr(cycproj.geometry, "_set_normal_form", counting_form)
+    monkeypatch.setattr(cycproj.geometry._NormalForm, "__post_init__", counting_form)
     monkeypatch.setattr(cycproj.cli, "solve", recording_solve)
     for n in (ROW_BLOCK + 5, ROW_BLOCK - 1):
         for log in (kernels, hyperplanes, ops):
