@@ -78,7 +78,7 @@ class SolveConfig:
             object.__setattr__(self, "solution", _finite(self.solution, "solution"))
 
 
-@dataclass
+@dataclass(eq=False)
 class IterationTrace:
     """Outcome of one solve, with per-update records (possibly thinned).
 
@@ -215,7 +215,7 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     trace = IterationTrace(start=x, final=x, iterations=0, stop="converged")
     if sol is not None:
         trace.dists = []
-        trace.initial_dist = float(np.linalg.norm(x - sol))
+        trace.initial_dist = math.sqrt((e := x - sol).dot(e))
         if trace.initial_dist < cfg.eps:
             return trace
     # One sink for stored rows: on_row, or the trace's own lists.

@@ -4,7 +4,7 @@ Three set flavours are supported: hyperplanes in normal/offset form,
 affine spans given by an anchor point plus an orthonormal basis of the
 parallel subspace, and half-spaces (convex but not affine, kept for
 quasi-nonexpansive operator experiments).  All projections are closed
-form; no iterative solves happen here.
+form (no iterative solves), and sets compare by identity, not by value.
 """
 
 from __future__ import annotations
@@ -120,9 +120,10 @@ def _row_basis(a: np.ndarray, null: bool = False) -> np.ndarray:
     return (vt[r:] if null else vt[:r]).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _NormalForm:
-    """A set's normal, offset and |normal|^2, checked once; _what names it."""
+    """A set's normal, offset and |normal|^2, checked once (_what names the set),
+    and project_with_gap, the one hyperplane formula both subclasses share."""
 
     normal: np.ndarray
     offset: float
@@ -130,10 +131,9 @@ class _NormalForm:
     def __post_init__(self):
         normal = as_vector(self.normal)
         offset = float(self.offset)
-        # A finite, positive |normal|^2 proves every entry finite: a non-finite
-        # entry makes it inf or nan, and an overflow makes it inf.
-        with np.errstate(over="ignore"):
-            nsq = float(normal @ normal)
+        # A finite, positive |normal|^2 proves every entry finite: a non-finite entry
+        # makes it inf or nan, and an overflow makes it inf (vdot does not warn).
+        nsq = float(np.vdot(normal, normal))
         if not (0.0 < nsq < math.inf and math.isfinite(offset)):
             if not (math.isfinite(offset) and np.all(np.isfinite(normal))):
                 raise ValueError(f"{self._what} data must be finite")
@@ -148,30 +148,31 @@ class _NormalForm:
     def dim(self) -> int:
         return self.normal.shape[0]
 
+    def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """x - c normal and c^2 |normal|^2, c = (<normal, x> - offset) / |normal|^2."""
+        if x.shape[0] != self.normal.shape[0]:
+            _check_dim(self.dim, x)
+        c = (float(self.normal.dot(x)) - self.offset) / self._nsq
+        return x - c * self.normal, c * c * self._nsq
+
 
 class Hyperplane(_NormalForm):
     """The set {x : <normal, x> = offset}, normal nonzero."""
 
     _what = "hyperplane"
 
+    # cp's hot path: project_with_gap(x)[0] would add about 0.2 us a call.
     def project(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.normal.shape[0]:
             _check_dim(self.dim, x)
         return x - ((float(self.normal.dot(x)) - self.offset) / self._nsq) * self.normal
-
-    def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Projection plus squared distance moved, sharing one residual pass."""
-        if x.shape[0] != self.normal.shape[0]:
-            _check_dim(self.dim, x)
-        c = (float(self.normal.dot(x)) - self.offset) / self._nsq
-        return x - c * self.normal, c * c * self._nsq
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows A and values b with the set equal to {x : A x = b}."""
         return self.normal[None, :], np.array([self.offset])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Span:
     """Affine span anchor + col(basis), basis orthonormal, possibly empty."""
 
@@ -215,21 +216,14 @@ class HalfSpace(_NormalForm):
     _what = "half-space"
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.normal.shape[0]:
-            _check_dim(self.dim, x)
-        slack = float(self.normal.dot(x)) - self.offset
-        if slack <= 0.0:
-            return x
-        return x - (slack / self._nsq) * self.normal
+        return self.project_with_gap(x)[0]
 
     def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         if x.shape[0] != self.normal.shape[0]:
             _check_dim(self.dim, x)
-        slack = float(self.normal.dot(x)) - self.offset
-        if slack <= 0.0:
+        if float(self.normal.dot(x)) - self.offset <= 0.0:  # x is feasible
             return x, 0.0
-        c = slack / self._nsq
-        return x - c * self.normal, c * c * self._nsq
+        return super().project_with_gap(x)
 
 
 # Affine sets admit reflectors and span/constraint forms; half-spaces only

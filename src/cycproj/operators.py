@@ -107,7 +107,7 @@ class _RowKernel:
         return x, inc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleOperator:
     """Sequential projections onto affine sets or half-spaces.
 
@@ -203,7 +203,7 @@ def _dr_half(x: np.ndarray, a: AffineSet, b: AffineSet) -> np.ndarray:
     return 0.5 * (x + (2.0 * b.project(r) - r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DouglasRachfordOperator:
     """Symmetric Douglas-Rachford composite of an ordered pair of affine sets.
 

@@ -548,6 +548,19 @@ def test_stall_stops_unconverged_and_keeps_the_final_row():
             assert np.array_equal(tr.final, np.array([1e-170, 0.0]))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_inconsistent_three_lines_do_not_converge():
+    # y = 0, y = 1 and x + y = 0 share no point, yet the composite still has
+    # fixed points, so the unit rule's successive change falls below eps and
+    # both modes stop on "converged" (after 33 cyclic, 32 symmetric updates).
+    sets = tuple(Hyperplane(np.array(a), b)
+                 for a, b in (([0.0, 1.0], 0.0), ([0.0, 1.0], 1.0), ([1.0, 1.0], 0.0)))
+    for mode in ("cyclic", "symmetric"):
+        op = CycleOperator(sets, mode)
+        tr = solve(op, StepRule("unit"), [3.0, 4.0], SolveConfig())
+        assert tr.stop != "converged", (mode, tr.iterations)
+
+
 def test_known_solution_rows_are_bitwise():
     # With the solution given, a unit step computes Qx - x only for a stored
     # row and the stall test compares iterates only when the distance

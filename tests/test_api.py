@@ -1,8 +1,9 @@
 """Every exported name resolves, the import graph holds, the benchmark's
-hooks hold, the README's examples run, and the source stays within its
-line budget."""
+hooks hold, sets and composites compare by identity, the README's examples
+run, and the source stays within its line budget."""
 
 import ast
+import copy
 import importlib
 import os
 import re
@@ -11,6 +12,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cycproj
@@ -18,6 +20,7 @@ import cycproj.acceleration as acceleration
 import cycproj.cli as cli
 from cycproj.acceleration import IterationTrace
 from cycproj.geometry import HalfSpace, Hyperplane, Span
+from cycproj.operators import CycleOperator, DouglasRachfordOperator
 
 
 @pytest.mark.parametrize(
@@ -126,6 +129,40 @@ def test_benchmark_hooks(monkeypatch):
     bench = {"method", "mean_iterations", "mean_residual", "reps", "all_converged"}
     assert bench <= names(cli.BenchRow)
     assert {"iterates", "iterations", "final"} <= names(IterationTrace)
+
+    # Every function the layer tracer wraps resolves in its module; one moved
+    # elsewhere would leave its traced layer silently at zero.
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    if not layers.is_file():
+        pytest.skip("perfbench/ is absent")
+    spans = next(
+        ast.literal_eval(node.value) for node in ast.parse(layers.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["FUNCTION_SPANS"]
+    )
+    assert spans
+    for _, module, name in spans:
+        fn = getattr(importlib.import_module(f"cycproj.{module}"), name, None)
+        assert callable(fn), (module, name)
+
+
+def test_sets_composites_and_traces_compare_by_identity():
+    # Each holds arrays, so value equality would be ambiguous; == and hash are
+    # the object's own, and none of them raises.
+    h, g = (Hyperplane(np.array([1.0, 0.0]), 0.0) for _ in range(2))
+    objects = [
+        h,
+        Span(np.zeros(2), np.eye(2)[:, :1]),
+        HalfSpace(np.array([1.0, 0.0]), 0.0),
+        CycleOperator((h, g)),
+        DouglasRachfordOperator(h, g),
+        IterationTrace(np.zeros(2), np.zeros(2), iterations=0, stop="converged"),
+    ]
+    assert h != g and len({h, g}) == 2
+    for obj in objects:
+        assert obj == obj and obj != copy.copy(obj)
+        assert {obj: 1}[obj] == 1
+    assert len(set(objects)) == len(objects)
 
 
 def test_readme_examples_run(tmp_path):

@@ -11,6 +11,7 @@ from cycproj.geometry import (
     Hyperplane,
     Span,
 )
+from cycproj.operators import CycleOperator
 
 from conftest import (
     distance,
@@ -103,8 +104,11 @@ def test_span_constraint_rows_complete_the_basis():
 def test_halfspace_projection():
     h = HalfSpace(np.array([1.0, 0.0]), 1.0)
     assert np.allclose(h.project(np.array([3.0, 0.0])), [1.0, 0.0])
+    # A feasible point comes back as the same object, with gap 0.0.
     inside = np.array([0.25, -4.0])
-    assert np.array_equal(h.project(inside), inside)
+    assert h.project(inside) is inside
+    p, gap = h.project_with_gap(inside)
+    assert p is inside and gap == 0.0
 
 
 def test_halfspace_result_is_feasible():
@@ -123,24 +127,38 @@ def test_halfspace_result_is_feasible():
 def test_projectors_are_bitwise_the_textbook_formula():
     # The projectors compute the coefficient as a Python float, which is the
     # same IEEE arithmetic as the formula's numpy scalars: every bit agrees.
+    # |normal|^2 is np.vdot, the same ddot as @, for contiguous and strided
+    # normals alike.
     rng = np.random.default_rng(2007)
     for d in (2, 400, 2000):
         for scale in (1e-150, 1e-100, 1e-50, 1.0, 1e50, 1e100, 1e150):
             a, p, x = scale * rng.standard_normal((3, d))
-            for kind in (Hyperplane, HalfSpace):
-                s = kind(a, float(a @ p))
+            strided = np.repeat(a, 3)[1::3]
+            for kind, normal in ((Hyperplane, a), (HalfSpace, a),
+                                 (Hyperplane, strided)):
+                s = kind(normal, float(a @ p))
+                assert s._nsq == float(normal @ normal)
                 # x and its mirror through p have slacks of opposite signs.
                 for z in (x, 2.0 * p - x):
                     want, want_gap = textbook_projection(s, z)
                     got, gap = s.project_with_gap(z)
                     assert np.array_equal(s.project(z), want)
                     assert np.array_equal(got, want) and gap == want_gap
+    # So are the rows of an F-order matrix, which from_rows keeps as views.
+    rows = np.asfortranarray(rng.standard_normal((8, 400)))
+    for s, row in zip(CycleOperator.from_rows(rows, np.zeros(8)).sets, rows):
+        assert not s.normal.flags.c_contiguous and s._nsq == float(row @ row)
 
 
 def test_dimension_mismatch_raises():
     h = Hyperplane(np.array([1.0, 1.0]), 1.0)
-    with pytest.raises(DimensionMismatchError):
-        h.project(np.array([1.0, 2.0, 3.0]))
+    # The check comes before any product: a dot product of mismatched
+    # operands would raise a plain ValueError instead.
+    for s in (h, HalfSpace(h.normal, h.offset)):
+        for method in (s.project, s.project_with_gap):
+            for x in (np.array([1.0, 2.0, 3.0]), np.array([1.0])):
+                with pytest.raises(DimensionMismatchError):
+                    method(x)
     with pytest.raises(DimensionMismatchError):
         translate_check(np.array([1.0, 2.0]), h, np.array([1.0, 2.0, 3.0]))
 
@@ -176,9 +194,10 @@ def test_normal_form_failures():
         ([1.0, 2.0], np.nan),
         ([0.0, 0.0], np.nan),
     ]
-    # Zero, overflowing (residuals would read 0 and projections stall) and
-    # underflowing squared norms.
-    degenerate = [([0.0, 0.0, 0.0], 1.0), ([1e200, 1e200], 0.0), ([1e-200], 0.0)]
+    # Zero, overflowing (residuals would read 0 and projections stall; short,
+    # long and strided) and underflowing squared norms.
+    degenerate = [([0.0, 0.0, 0.0], 1.0), ([1e200, 1e200], 0.0), ([1e-200], 0.0),
+                  ([1e155] * 2000, 0.0), (np.full(6000, 1e155)[::3], 0.0)]
     for kind, what in ((Hyperplane, "hyperplane"), (HalfSpace, "half-space")):
         for normal, offset in non_finite:
             with pytest.raises(ValueError, match=f"^{what} data must be finite$"):
@@ -186,7 +205,7 @@ def test_normal_form_failures():
         for normal, offset in degenerate:
             message = f"^{what} normal must be nonzero, with a finite squared norm$"
             with pytest.raises(ValueError, match=message):
-                kind(np.array(normal), offset)
+                kind(np.asarray(normal), offset)
 
 
 def test_idempotence():
