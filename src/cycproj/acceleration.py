@@ -246,11 +246,8 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
             prev, e = dist, x_new - sol
             measure = dist = math.sqrt(e.dot(e))  # as np.linalg.norm computes it
             stalled = dist == prev and not (x_new != x).any()
-        elif x_new is y:
-            # Finite y - x is zero exactly where y equals x; gap_sq may underflow.
-            measure, stalled = gap, gap_sq == 0.0 and not d.any()
         else:
-            measure, stalled = abs(t) * gap, not (x_new != x).any()
+            measure, stalled = abs(t) * gap, x_new is not y and not (x_new != x).any()
         if not math.isfinite(measure):
             raise NumericalFailureError(k)
 

@@ -23,7 +23,6 @@ __all__ = [
     "Span",
     "HalfSpace",
     "AffineSet",
-    "as_vector",
 ]
 
 # Orthonormality drift accepted silently at construction.

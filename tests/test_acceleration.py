@@ -548,6 +548,24 @@ def test_stall_stops_unconverged_and_keeps_the_final_row():
             assert np.array_equal(tr.final, np.array([1e-170, 0.0]))
 
 
+def test_zero_change_converges_without_a_solution():
+    # Without a solution, a stored change of 0.0 is below every eps, so
+    # "converged" outranks "stalled": from the common point, and for a move
+    # of 1e-170 that squares to 0.0, each run ends after one update.
+    cases = (
+        (CycleOperator((XAXIS, DIAGONAL)), np.zeros(2)),
+        (CycleOperator((Hyperplane(np.array([1.0, 0.0]), 1e-170),)),
+         np.array([1e-170, 0.0])),
+    )
+    for op, final in cases:
+        for rule in (StepRule("unit"), StepRule("gk-affine")):
+            tr = solve(op, rule, np.zeros(2), SolveConfig(eps=1e-9, max_iter=50))
+            assert tr.converged and tr.stop == "converged"
+            assert tr.iterations == 1 and tr.ks == [1]
+            assert tr.steps == [1.0] and tr.changes == [0.0]
+            assert np.array_equal(tr.final, final)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 def test_inconsistent_three_lines_do_not_converge():
     # y = 0, y = 1 and x + y = 0 share no point, yet the composite still has

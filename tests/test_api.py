@@ -130,9 +130,19 @@ def test_benchmark_hooks(monkeypatch):
     assert bench <= names(cli.BenchRow)
     assert {"iterates", "iterations", "final"} <= names(IterationTrace)
 
+    # The tracer patches by identity, so each package export is the object its
+    # defining module exports, and each module's __all__ is exported once.
+    homes = [importlib.import_module(f"cycproj.{m}")
+             for m in ("geometry", "operators", "acceleration", "analysis")]
+    exported = [(mod, name) for mod in homes for name in mod.__all__]
+    assert sorted(name for _, name in exported) == cycproj.__all__
+    for mod, name in exported:
+        assert getattr(cycproj, name) is getattr(mod, name), (mod.__name__, name)
+
     # Every function the layer tracer wraps resolves in its module; one moved
     # elsewhere would leave its traced layer silently at zero.
-    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    harness = Path(__file__).resolve().parents[1] / "perfbench"
+    layers = harness / "layers.py"
     if not layers.is_file():
         pytest.skip("perfbench/ is absent")
     spans = next(
@@ -144,6 +154,36 @@ def test_benchmark_hooks(monkeypatch):
     for _, module, name in spans:
         fn = getattr(importlib.import_module(f"cycproj.{module}"), name, None)
         assert callable(fn), (module, name)
+
+    # Every name the harness takes from cycproj or cycproj.cli resolves, so a
+    # rename fails here rather than in a benchmark run.
+    taken = set()
+    for script in ("child.py", "run.py"):
+        tree = ast.parse((harness / script).read_text())
+        bound = {}  # local name -> the cycproj module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.startswith("cycproj"):
+                        bound[a.asname or "cycproj"] = a.name if a.asname else "cycproj"
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module in ("cycproj", "cycproj.cli")):
+                taken |= {(node.module, (a.name,)) for a in node.names}
+                bound.update({a.asname or a.name: f"{node.module}.{a.name}"
+                              for a in node.names if a.name == "cli"})
+        for node in ast.walk(tree):
+            path = []
+            while isinstance(node, ast.Attribute):
+                path.insert(0, node.attr)
+                node = node.value
+            if path and isinstance(node, ast.Name) and node.id in bound:
+                taken.add((bound[node.id], tuple(path)))
+    assert ("cycproj.cli", ("solve",)) in taken
+    for module, path in taken:
+        obj = importlib.import_module(module)
+        for attr in path:
+            assert hasattr(obj, attr), (module, path)
+            obj = getattr(obj, attr)
 
 
 def test_sets_composites_and_traces_compare_by_identity():
