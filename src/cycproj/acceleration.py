@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import NumericalFailureError, _finite, as_vector
+from .geometry import InfeasibleProblemError, NumericalFailureError, _finite, as_vector
 
 __all__ = [
     "StepRule",
@@ -195,7 +195,12 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     trace.stop: the criterion is met ("converged"), an update leaves the
     iterate bitwise unchanged ("stalled"), or max_iter updates are done
     ("max-iter").  With store_every > 0 the row of the last update is
-    always stored, whether or not store_every divides its index.
+    always stored, whether or not store_every divides its index.  A change-based
+    "converged" on an affine op raises InfeasibleProblemError if a squared stage
+    increment at the final x exceeds eps (1 + |x|).  Increments tend to the gap g
+    between the sets (Bauschke & Borwein 1994), and at a consistent stop are about
+    eps / sin(a) at most, a the sets' angle.  So g > sqrt(eps (1 + |x|)) is caught,
+    and a consistent system is kept while sin(a) > sqrt(eps / (1 + |x|)).
 
     With on_row given, each stored row goes to on_row(k, t_k, change, x_k)
     in the order the trace would keep it, and the trace's per-row lists
@@ -261,6 +266,9 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
         if last:
             break
 
+    if done and sol is None and getattr(op, "affine", False):
+        if op.apply_with_increments(x)[1].max() > eps * (1.0 + math.sqrt(x.dot(x))):
+            raise InfeasibleProblemError("the sets have no common point")
     trace.stop = "converged" if done else "stalled" if stalled else "max-iter"
     trace.iterations = k
     trace.final = x

@@ -18,11 +18,13 @@ from .geometry import (
     NumericalFailureError,
     _affine_dim,
     _check_dim,
+    _nearest_solution,
     _orthonormal,
+    _principal,
     _row_basis,
+    _stacked_constraints,
     as_vector,
 )
-from .operators import _nearest_solution, _principal, _stacked_constraints
 
 __all__ = [
     "RateReport",

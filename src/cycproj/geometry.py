@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +33,8 @@ ORTHO_REPAIR_TOL = 1e-8
 # Singular values below RANK_CUTOFF * sigma_max count as zero in null-space
 # and feasibility computations.
 RANK_CUTOFF = 1e-10
+# Feasibility residual above this (scaled) bound marks an empty intersection.
+FEAS_TOL = 1e-6
 
 
 class DimensionMismatchError(ValueError):
@@ -119,6 +121,46 @@ def _row_basis(a: np.ndarray, null: bool = False) -> np.ndarray:
     return (vt[r:] if null else vt[:r]).T
 
 
+def _stacked_constraints(sets: Sequence[AffineSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A and values b of a nonempty sequence of sets, stacked."""
+    rows, vals = zip(*(s.constraint_rows() for s in sets))
+    return np.vstack(rows), np.concatenate(vals)
+
+
+def _nearest_solution(a: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """x0 - A^+ (A x0 - b), the nearest point to x0 with A x = b (x0 when A
+    has no rows); singular values below RANK_CUTOFF * sigma_max count as 0.
+
+    Raises InfeasibleProblemError when the residual of A^+ b exceeds
+    FEAS_TOL (1 + |b|).  The test reads (A, b) alone, so rounding that
+    grows with |x0| cannot fail it, and a non-finite result, the caller's
+    numerical failure, gets no verdict.  At full row rank every b is
+    consistent, so the test is skipped there.
+    """
+    if a.shape[0] == 0:
+        return x0.copy()
+    y, _, rank, _ = np.linalg.lstsq(a, a @ x0 - b, rcond=RANK_CUTOFF)
+    p = x0 - y
+    if rank < a.shape[0] and np.all(np.isfinite(p)):
+        z, *_ = np.linalg.lstsq(a, b, rcond=RANK_CUTOFF)
+        if np.linalg.norm(a @ z - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
+            raise InfeasibleProblemError("the sets have no common point")
+    return p
+
+
+def _principal(u: np.ndarray, v: np.ndarray):
+    """Principal cosines between the column spaces of orthonormal u and v.
+
+    Returns the cosines, the matching unit directions v z_i, and a mask of
+    the directions the two spaces share: those whose sine, the length of
+    (v - u u^T v) z_i, is at most RANK_CUTOFF.
+    """
+    s = u.T @ v
+    _, cos, zt = np.linalg.svd(s, full_matrices=False)
+    sines = np.linalg.norm((v - u @ s) @ zt.T, axis=0)
+    return cos, v @ zt.T, sines <= RANK_CUTOFF
+
+
 @dataclass(frozen=True, eq=False)
 class _NormalForm:
     """A set's normal, offset and |normal|^2, checked once (_what names the set),
@@ -154,17 +196,14 @@ class _NormalForm:
         c = (float(self.normal.dot(x)) - self.offset) / self._nsq
         return x - c * self.normal, c * c * self._nsq
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return self.project_with_gap(x)[0]
+
 
 class Hyperplane(_NormalForm):
     """The set {x : <normal, x> = offset}, normal nonzero."""
 
     _what = "hyperplane"
-
-    # cp's hot path: project_with_gap(x)[0] would add about 0.2 us a call.
-    def project(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.normal.shape[0]:
-            _check_dim(self.dim, x)
-        return x - ((float(self.normal.dot(x)) - self.offset) / self._nsq) * self.normal
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows A and values b with the set equal to {x : A x = b}."""
@@ -213,9 +252,6 @@ class HalfSpace(_NormalForm):
     """The set {x : <normal, x> <= offset}, normal nonzero."""
 
     _what = "half-space"
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.project_with_gap(x)[0]
 
     def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         if x.shape[0] != self.normal.shape[0]:

@@ -21,21 +21,22 @@ agree with the row loop to roundoff, not bitwise.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .geometry import (
-    RANK_CUTOFF,
     AffineSet,
     HalfSpace,
     Hyperplane,
-    InfeasibleProblemError,
     Span,
     _affine_dim,
     _check_dim,
     _common_dim,
+    _nearest_solution,
+    _principal,
     _row_basis,
+    _stacked_constraints,
 )
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "fixset_dr",
 ]
 
-# Feasibility residual above this (scaled) bound marks an empty intersection.
-FEAS_TOL = 1e-6
 # Rows per block of the stacked hyperplane kernel; cycles with fewer
 # hyperplanes than this stay on the row loop.
 ROW_BLOCK = 64
@@ -234,46 +233,6 @@ class DouglasRachfordOperator:
         z = _dr_half(y, self.second, self.first)
         g, h = x - y, y - z
         return z, np.array([float(g.dot(g)), float(h.dot(h))])
-
-
-def _stacked_constraints(sets: Sequence[AffineSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows A and values b of a nonempty sequence of sets, stacked."""
-    rows, vals = zip(*(s.constraint_rows() for s in sets))
-    return np.vstack(rows), np.concatenate(vals)
-
-
-def _nearest_solution(a: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """x0 - A^+ (A x0 - b), the nearest point to x0 with A x = b (x0 when A
-    has no rows); singular values below RANK_CUTOFF * sigma_max count as 0.
-
-    Raises InfeasibleProblemError when the residual of A^+ b exceeds
-    FEAS_TOL (1 + |b|).  The test reads (A, b) alone, so rounding that
-    grows with |x0| cannot fail it, and a non-finite result, the caller's
-    numerical failure, gets no verdict.  At full row rank every b is
-    consistent, so the test is skipped there.
-    """
-    if a.shape[0] == 0:
-        return x0.copy()
-    y, _, rank, _ = np.linalg.lstsq(a, a @ x0 - b, rcond=RANK_CUTOFF)
-    p = x0 - y
-    if rank < a.shape[0] and np.all(np.isfinite(p)):
-        z, *_ = np.linalg.lstsq(a, b, rcond=RANK_CUTOFF)
-        if np.linalg.norm(a @ z - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
-            raise InfeasibleProblemError("the sets have no common point")
-    return p
-
-
-def _principal(u: np.ndarray, v: np.ndarray):
-    """Principal cosines between the column spaces of orthonormal u and v.
-
-    Returns the cosines, the matching unit directions v z_i, and a mask of
-    the directions the two spaces share: those whose sine, the length of
-    (v - u u^T v) z_i, is at most RANK_CUTOFF.
-    """
-    s = u.T @ v
-    _, cos, zt = np.linalg.svd(s, full_matrices=False)
-    sines = np.linalg.norm((v - u @ s) @ zt.T, axis=0)
-    return cos, v @ zt.T, sines <= RANK_CUTOFF
 
 
 def fixset_dr(c1: AffineSet, c2: AffineSet) -> Span:

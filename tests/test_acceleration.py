@@ -18,8 +18,8 @@ from cycproj.acceleration import (
     step_oracle,
 )
 from cycproj.analysis import exact_projection
-from cycproj.cli import angle_instance
-from cycproj.geometry import HalfSpace, Hyperplane
+from cycproj.cli import _theta_grid, _unit_start, angle_instance
+from cycproj.geometry import HalfSpace, Hyperplane, InfeasibleProblemError
 from cycproj.operators import (
     ROW_BLOCK,
     CycleOperator,
@@ -566,17 +566,30 @@ def test_zero_change_converges_without_a_solution():
             assert np.array_equal(tr.final, final)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 def test_inconsistent_three_lines_do_not_converge():
     # y = 0, y = 1 and x + y = 0 share no point, yet the composite still has
-    # fixed points, so the unit rule's successive change falls below eps and
-    # both modes stop on "converged" (after 33 cyclic, 32 symmetric updates).
+    # fixed points, so the unit rule's successive change falls below eps in
+    # both modes (after 33 cyclic, 32 symmetric updates).  The stage
+    # increments there still span the gaps, so solve raises instead.
     sets = tuple(Hyperplane(np.array(a), b)
                  for a, b in (([0.0, 1.0], 0.0), ([0.0, 1.0], 1.0), ([1.0, 1.0], 0.0)))
     for mode in ("cyclic", "symmetric"):
         op = CycleOperator(sets, mode)
-        tr = solve(op, StepRule("unit"), [3.0, 4.0], SolveConfig())
-        assert tr.stop != "converged", (mode, tr.iterations)
+        with pytest.raises(InfeasibleProblemError, match="no common point"):
+            solve(op, StepRule("unit"), [3.0, 4.0], SolveConfig())
+
+
+def test_parallel_hyperplanes_do_not_converge_under_symmetric_cycles():
+    # Every point of the first of two parallel planes is fixed by P0 P1 P0,
+    # so sym-cp and accel-sym-cp see a change of 0.0 (after 2 updates and 1
+    # update) on planes 0.01 apart; the increments at that point are the gap.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(5)
+    a /= np.linalg.norm(a)
+    op = CycleOperator((Hyperplane(a, 0.0), Hyperplane(a, 0.01)), mode="symmetric")
+    for rule in (StepRule("unit"), StepRule("gk-affine")):
+        with pytest.raises(InfeasibleProblemError, match="no common point"):
+            solve(op, rule, 10.0 * rng.standard_normal(5), SolveConfig())
 
 
 def test_known_solution_rows_are_bitwise():
@@ -675,4 +688,27 @@ def test_symmetric_gk_step_solves_two_lines_in_one_update():
         for r in range(10):
             v = np.random.default_rng([0, j, r]).standard_normal(2)
             tr = solve(op, StepRule("gk-affine"), (10.0 / np.linalg.norm(v)) * v, cfg)
+            assert tr.converged and tr.iterations == 1, (theta, r)
+
+
+def test_cp_counts_and_gk_from_the_advanced_start_on_the_sweep_grid():
+    # After P0 the error (e0x, 0) lies along line 0, and each later projection
+    # shrinks it by cos theta, so cp stops at the least k with
+    # |e0x| cos^(2k-1) theta < eps.  Qx0 lies on line 1 with Q(Qx0) and x*, so
+    # cyclic gk-affine from Qx0 lands on x* in one update.  Every fourth angle
+    # of the criterion-08 grid but 0.01, with angle-sweep's points and starts.
+    grid = _theta_grid(0.01, 1.57, 0.01)
+    for j in range(4, len(grid), 4):
+        theta = float(grid[j])
+        xstar = np.random.default_rng([0, j]).standard_normal(2)
+        op = CycleOperator(tuple(angle_instance(theta, xstar)))
+        cfg = SolveConfig(eps=1e-9, solution=xstar, store_every=0)
+        for r in range(5):
+            x0 = _unit_start([0, j, r], 2)
+            e0x, k = abs(x0[0] - xstar[0]), 1
+            while e0x * math.cos(theta) ** (2 * k - 1) >= cfg.eps:
+                k += 1
+            tr = solve(op, StepRule("unit"), x0, cfg)
+            assert tr.converged and tr.iterations == k, (theta, r)
+            tr = solve(op, StepRule("gk-affine"), op.apply(x0), cfg)
             assert tr.converged and tr.iterations == 1, (theta, r)

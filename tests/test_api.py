@@ -81,13 +81,13 @@ def test_step_rules_and_set_methods_are_pinned():
 
 def test_import_graph_is_pinned():
     # Each fact lives in one layer: geometry imports no sibling, the
-    # operators and the solver build on geometry alone, and the analysis on
-    # geometry and operators.  An import edge added back shows up here.
+    # operators, the solver and the analysis build on geometry alone.  An
+    # import edge added back shows up here.
     allowed = {
         "geometry": set(),
         "operators": {"geometry"},
         "acceleration": {"geometry"},
-        "analysis": {"geometry", "operators"},
+        "analysis": {"geometry"},
     }
     source = Path(cycproj.__file__).resolve().parent
     for name, want in allowed.items():

@@ -493,6 +493,39 @@ def test_solve_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stop_check_decides_feasibility_past_the_oracle(tmp_path, monkeypatch, capsys):
+    # Above ORACLE_SIZE_LIMIT no least-squares test runs, so the verdict is
+    # solve's: 80 rows take the row kernel, and row 1 is row 0 moved 1 apart.
+    # Each unit rule's change falls below eps (cp after 93 updates, sym-cp
+    # after 85), so only the increments at the stop show the gap; the
+    # line-search rules run to the limit.
+    monkeypatch.setattr(cycproj.cli, "ORACLE_SIZE_LIMIT", 0)
+    rng = np.random.default_rng(80)
+    a = rng.standard_normal((80, 160))
+    p = rng.standard_normal(160)
+    b = a @ p
+    a[1], b[1] = a[0], b[0] + np.linalg.norm(a[0])
+    x0 = p + a.T @ rng.standard_normal(80) / 10.0
+    problem = write_rows_problem(tmp_path, "rows.txt", x0, a, b)
+    out = tmp_path / "trace.csv"
+    for method in ("cp", "sym-cp"):
+        assert main(["solve", problem, "--method", method, "--out", str(out)]) == 3
+        assert "error: the sets have no common point" in capsys.readouterr().err
+        assert not out.exists(), method
+    for method in ("gk-affine", "accel-sym-cp"):
+        args = ["solve", problem, "--method", method, "--max-iter", "20000"]
+        assert main(args + ["--out", str(out)]) != 0, method
+        assert "converged" not in capsys.readouterr().err
+    # At a loose eps a consistent stop keeps increments of up to eps / sin(angle):
+    # 4.6e-5 to 6.5e-5 on the two lines here at eps 1e-4, with |x| below 1e-4.
+    # A bound of 1e-6 (1 + |x|) would read each of them as a gap.
+    two_lines = write_problem(tmp_path, TWO_LINES)
+    for method in SOLVE_METHODS:
+        args = ["solve", two_lines, "--method", method, "--eps", "1e-4"]
+        assert main(args + ["--out", str(out)]) == 0, method
+        assert f"{method}: converged" in capsys.readouterr().err
+
+
 def test_angle_sweep_schema_and_determinism(tmp_path):
     args = [
         "angle-sweep",
