@@ -37,7 +37,6 @@ __all__ = [
     "angle_instance",
     "angle_sweep",
     "hyperplane_bench",
-    "write_table",
     "main",
     "run",
 ]
@@ -210,17 +209,24 @@ def _parse_lines(lines) -> tuple[np.ndarray, list]:
     return x0, sets
 
 
-def _plans(methods: Sequence[str], build) -> dict:
-    """Each method's (operator, step rule); build(composite) makes an operator.
+def _plans(methods: Sequence[str], cycle: CycleOperator) -> dict:
+    """Each method's (operator, step rule), all built from one cyclic cycle.
 
+    The symmetric cycle is `cycle.with_mode`, which shares the sets and the
+    row kernel, and a dr method iterates the pair of the cycle's two sets.
     Methods that iterate the same composite share one operator.
     """
-    ops = {}
+    ops = {"cyclic": cycle}
     plans = {}
     for name in methods:
         composite, accelerated = PLANS[name]
         if composite not in ops:
-            ops[composite] = build(composite)
+            if composite != "dr":
+                ops[composite] = cycle.with_mode(composite)
+            elif len(cycle.sets) == 2:
+                ops[composite] = DouglasRachfordOperator(*cycle.sets)
+            else:
+                raise UsageError("dr methods need exactly two constraint sets")
         rule = StepRule("gk-affine" if accelerated else "unit")
         plans[name] = (ops[composite], rule)
     return plans
@@ -230,15 +236,7 @@ def build_operator(sets: Sequence, method: str):
     """Operator and step rule for a method name."""
     if method not in PLANS:
         raise UsageError(f"unknown method {method!r}")
-
-    def build(composite):
-        if composite != "dr":
-            return CycleOperator(tuple(sets), mode=composite)
-        if len(sets) != 2:
-            raise UsageError("dr methods need exactly two constraint sets")
-        return DouglasRachfordOperator(sets[0], sets[1])
-
-    return _plans([method], build)[method]
+    return _plans([method], CycleOperator(tuple(sets)))[method]
 
 
 def _solution_estimate(x0, sets) -> Optional[np.ndarray]:
@@ -342,7 +340,7 @@ def angle_sweep(
     for j, theta in enumerate(thetas):
         xstar = np.random.default_rng([seed, j]).standard_normal(2)
         sets = tuple(angle_instance(theta, xstar))
-        plans = _plans(SWEEP_METHODS, lambda mode: CycleOperator(sets, mode))
+        plans = _plans(SWEEP_METHODS, CycleOperator(sets))
         starts = [_unit_start([seed, j, r], 2) for r in range(reps)]
         cfg = SolveConfig(eps=eps, max_iter=max_iter, solution=xstar, store_every=0)
         for name, runs in _runs(plans, starts, cfg).items():
@@ -384,7 +382,7 @@ def hyperplane_bench(
     a = inst_rng.standard_normal((n, m))
     xstar = inst_rng.standard_normal(m)
     b = a @ xstar
-    plans = _plans(methods, CycleOperator.from_rows(a, b).with_mode)
+    plans = _plans(methods, CycleOperator.from_rows(a, b))
     starts = [_unit_start([seed, m, n, r], m) for r in range(reps)]
     cfg = SolveConfig(eps=eps, max_iter=max_iter, store_every=0)
 
@@ -555,8 +553,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (ProblemFileError, UsageError, NumericalFailureError) as exc:

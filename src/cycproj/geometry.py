@@ -101,14 +101,14 @@ def _orthonormal(basis, dim: Optional[int] = None) -> np.ndarray:
     basis = basis.astype(float, copy=False)
     if not np.all(np.isfinite(basis)):
         raise ValueError("basis must be finite")
-    if basis.shape[1] > 0:
-        # An overflowing Gram matrix reads inf or nan, which the check rejects.
-        with np.errstate(over="ignore", invalid="ignore"):
-            drift = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
-        if not drift <= ORTHO_REPAIR_TOL:
-            raise ValueError(f"basis is not orthonormal (drift {drift:.3e})")
-        if drift > ORTHO_ACCEPT_TOL:
-            basis, _ = np.linalg.qr(basis)
+    # An overflowing Gram matrix reads inf or nan, which the check rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = basis.T @ basis - np.eye(basis.shape[1])
+        drift = float(np.max(np.abs(gram), initial=0.0))
+    if not drift <= ORTHO_REPAIR_TOL:
+        raise ValueError(f"basis is not orthonormal (drift {drift:.3e})")
+    if drift > ORTHO_ACCEPT_TOL:
+        basis, _ = np.linalg.qr(basis)
     return basis
 
 
@@ -137,8 +137,6 @@ def _nearest_solution(a: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarra
     numerical failure, gets no verdict.  At full row rank every b is
     consistent, so the test is skipped there.
     """
-    if a.shape[0] == 0:
-        return x0.copy()
     y, _, rank, _ = np.linalg.lstsq(a, a @ x0 - b, rcond=RANK_CUTOFF)
     p = x0 - y
     if rank < a.shape[0] and np.all(np.isfinite(p)):
@@ -233,8 +231,6 @@ class Span:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         _check_dim(self.dim, x)
-        if self.rank == 0:
-            return self.anchor.copy()
         return self.anchor + self.basis @ (self.basis.T @ (x - self.anchor))
 
     def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:

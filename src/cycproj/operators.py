@@ -100,9 +100,8 @@ class _RowKernel:
                 if stop == n:
                     stop -= 1
                     inv = inv[:-1, :-1]
-                if start < stop:
-                    w = self._block(x, start, stop, inv, True)
-                    inc[2 * n - 1 - stop:2 * n - 1 - start] = w[::-1]
+                w = self._block(x, start, stop, inv, True)
+                inc[2 * n - 1 - stop:2 * n - 1 - start] = w[::-1]
         return x, inc
 
 

@@ -42,6 +42,9 @@ def test_exact_projection_single_set_matches_projector():
     # a duplicated constraint changes nothing despite the rank deficiency
     both = exact_projection(x0, [h, h])
     assert np.linalg.norm(both - h.project(x0)) <= 1e-10
+    # all of R^5 stacks no constraint rows, so x0 comes back unchanged
+    whole = Span(rng.standard_normal(5), np.eye(5))
+    assert np.array_equal(exact_projection(x0, [whole]), x0)
 
 
 def test_exact_projection_two_lines_frozen():
