@@ -40,9 +40,9 @@ def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
     Stacks all sets' constraint rows into A x = b and removes the
     minimum-norm correction A^+ (A x0 - b) from x0, with singular values
     below RANK_CUTOFF * sigma_max treated as zero.  Raises
-    InfeasibleProblemError when the stacked system is inconsistent, and
-    NumericalFailureError at iteration 0 when the result is not finite
-    (A x0 overflows).
+    InfeasibleProblemError when the stacked system is inconsistent, read
+    in distances to the sets, and NumericalFailureError at iteration 0
+    when the result is not finite (A x0 overflows).
     """
     x0 = as_vector(x0)
     if not sets:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .acceleration import SolveConfig, StepRule, solve
+from .acceleration import IterationTrace, SolveConfig, StepRule, solve
 from .analysis import exact_projection
 from .geometry import Hyperplane, InfeasibleProblemError, NumericalFailureError, Span
 from .operators import CycleOperator, DouglasRachfordOperator
@@ -255,13 +255,6 @@ def cmd_solve(args) -> int:
         op, rule = build_operator(sets, method)
         worst = math.sqrt(max(s.project_with_gap(x0)[1] for s in sets))
         bound = FEASIBLE_X0_TOL * (1.0 + float(np.linalg.norm(x0)))
-        # An overflowing start reads inf on both sides; it is not feasible.
-        if np.isfinite(bound) and worst <= bound:
-            with _open_out(args.out) as fh:
-                fh.write("k,t_k,successive_change\n")
-            _summary(method, "converged", 0, x0)
-            return 0
-
         target = _solution_estimate(x0, sets)
         cfg = SolveConfig(
             eps=args.eps,
@@ -283,7 +276,11 @@ def cmd_solve(args) -> int:
                     cols += (math.sqrt(e.dot(e)),)  # as np.linalg.norm computes it
                 fh.write(line % cols)
 
-            trace = solve(op, rule, x0, cfg, on_row=write_row)
+            # A start on every set is a zero-iteration run (an overflowing one is not).
+            if np.isfinite(bound) and worst <= bound:
+                trace = IterationTrace(x0, x0, iterations=0, stop="converged")
+            else:
+                trace = solve(op, rule, x0, cfg, on_row=write_row)
     _summary(method, trace.stop, trace.iterations, shadow(trace.final))
     return 0 if trace.converged else 2
 
@@ -420,8 +417,6 @@ def write_table(header: str, rows: Sequence, fh) -> None:
 
 
 def _theta_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    if step <= 0.0:
-        raise UsageError("theta step must be positive")
     if hi < lo:
         raise UsageError("theta range is empty")
     last = np.floor((hi - lo) / step + 1e-9)

@@ -131,15 +131,19 @@ def _nearest_solution(a: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarra
     """x0 - A^+ (A x0 - b), the nearest point to x0 with A x = b (x0 when A
     has no rows); singular values below RANK_CUTOFF * sigma_max count as 0.
 
-    Raises InfeasibleProblemError when the residual of A^+ b exceeds
-    FEAS_TOL (1 + |b|).  The test reads (A, b) alone, so rounding that
-    grows with |x0| cannot fail it, and a non-finite result, the caller's
-    numerical failure, gets no verdict.  At full row rank every b is
-    consistent, so the test is skipped there.
+    Raises InfeasibleProblemError when the residual of A_s^+ b_s exceeds
+    FEAS_TOL (1 + |b_s|), where A_s x = b_s is A x = b with each row and
+    its value divided by the row's norm: the test reads distances to the
+    sets, so a gap on a short row counts in full.  It reads (A, b) alone,
+    so rounding that grows with |x0| cannot fail it, and a non-finite
+    result, the caller's numerical failure, gets no verdict.  At full row
+    rank every b is consistent, so the test is skipped there.
     """
     y, _, rank, _ = np.linalg.lstsq(a, a @ x0 - b, rcond=RANK_CUTOFF)
     p = x0 - y
     if rank < a.shape[0] and np.all(np.isfinite(p)):
+        norms = np.linalg.norm(a, axis=1)
+        a, b = a / norms[:, None], b / norms
         z, *_ = np.linalg.lstsq(a, b, rcond=RANK_CUTOFF)
         if np.linalg.norm(a @ z - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
             raise InfeasibleProblemError("the sets have no common point")

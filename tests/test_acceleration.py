@@ -401,6 +401,8 @@ def test_solve_rule_operator_pairing_errors():
         solve(offset, StepRule("oracle", np.zeros(2)), x0, SolveConfig())
     with pytest.raises(ValueError):
         solve(cyc, StepRule("unit"), np.zeros(3), SolveConfig())
+    with pytest.raises(ValueError, match=r"^expected a 1-D vector, got shape \(2, 1\)$"):
+        solve(cyc, StepRule("unit"), np.zeros((2, 1)), SolveConfig())
     # a solution of the wrong length would broadcast into the distances
     for length in (1, 3):
         with pytest.raises(ValueError):

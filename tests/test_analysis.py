@@ -119,6 +119,17 @@ def test_exact_projection_input_validation():
         exact_projection(
             np.zeros(2), [h, Hyperplane(np.array([2.0, 0.0]), 5.0)]
         )
+    # A gap is a distance, whatever the row's norm: the third line is the
+    # second (|a| = 4.2e-3) moved 4.3e-3 or 1e-3, beside a row of norm 323.
+    # In units of b the residuals, 1.3e-5 and 3.0e-6, sit below 9e-4.
+    long = 323.0 * np.array([math.cos(0.4), math.sin(0.4)])
+    short = 4.2e-3 * np.array([math.cos(2.0), math.sin(2.0)])
+    xstar = np.array([2.5, 1.2])
+    for gap in (4.3e-3, 1e-3):
+        moved = Hyperplane(short, short @ xstar + gap * np.linalg.norm(short))
+        lines = [Hyperplane(long, long @ xstar), Hyperplane(short, short @ xstar)]
+        with pytest.raises(InfeasibleProblemError):
+            exact_projection(np.zeros(2), lines + [moved])
     # A x0 overflows: a non-finite target is an error, not a result
     diagonals = [
         Hyperplane(np.array([1.0, 1.0]), 0.0),

@@ -220,13 +220,45 @@ def test_solve_feasible_start_writes_empty_trace(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["solve", problem, "--out", str(out)])
     assert code == 0
-    assert out.read_text() == "k,t_k,successive_change\n"
+    assert out.read_text() == "k,t_k,successive_change,dist_to_solution\n"
     assert "after 0 iterations" in capsys.readouterr().err
     # A feasible start does not skip the method's own check of the sets.
     lines = "dim 2\nx0 0 0\nhyperplane 1 0 0\nhyperplane 0 1 0\nhyperplane 1 1 0\n"
     problem = write_problem(tmp_path, lines)
     assert main(["solve", problem, "--method", "dr", "--out", str(out)]) == 1
     assert "error: dr methods need exactly two constraint sets" in capsys.readouterr().err
+
+
+def test_solve_trace_columns_follow_only_the_oracle_rule(tmp_path, monkeypatch, capsys):
+    # Two lines meeting at (1, 1): a start 1e-13 above it lies on both to
+    # FEASIBLE_X0_TOL, one at (3, 4) does not.  Every method writes the
+    # header the oracle rule picks; a feasible start is a run of zero
+    # updates, whose dr answer is its shadow on the first line.
+    first = Hyperplane(np.array([0.0, 1.0]), 1.0)
+    out = tmp_path / "trace.csv"
+    for oracle, columns in ((True, ",dist_to_solution"), (False, "")):
+        if not oracle:
+            monkeypatch.setattr(cycproj.cli, "ORACLE_SIZE_LIMIT", 0)
+        for x0 in ([3.0, 4.0], [1.0, 1.0000000000001]):
+            start = " ".join(map(repr, x0))
+            text = f"dim 2\nx0 {start}\nhyperplane 0 1 1\nhyperplane 1 -1 0\n"
+            problem = write_problem(tmp_path, text)
+            for method in SOLVE_METHODS:
+                case = (oracle, x0, method)
+                code = main(["solve", problem, "--method", method, "--out", str(out)])
+                err = capsys.readouterr().err
+                header, *rows = out.read_text().splitlines()
+                assert code == 0, case
+                assert header == "k,t_k,successive_change" + columns, case
+                if x0[0] == 3.0:
+                    assert rows and f"{method}: converged after" in err, case
+                    continue
+                assert rows == [] and f"{method}: converged after 0 iterations" in err, case
+                dr = cycproj.cli.PLANS[method][0] == "dr"
+                final = first.project(np.array(x0)) if dr else x0
+                assert "final: " + " ".join(format(v, ".17g") for v in final) in err
+                # The start is off the first line, so its shadow is not the start.
+                assert dr == (final[1] != x0[1]), case
 
 
 def test_solve_store_every_zero_keeps_header_only(tmp_path, capsys):
@@ -275,6 +307,7 @@ FLAG_ERRORS = [
     ("angle-sweep", "--theta-step", "nan", "theta-step must be a finite number"),
     ("angle-sweep", "--theta-max", "inf", "theta-max must be a finite number"),
     ("angle-sweep", "--theta-step", "inf", "theta-step must be a finite number"),
+    ("angle-sweep", "--theta-step", "0", "theta-step must be positive"),
     ("angle-sweep", "--eps", "nan", "eps must be a finite number"),
     ("angle-sweep", "--eps", "inf", "eps must be a finite number"),
 ]

@@ -244,6 +244,8 @@ def test_row_kernel_checks_dimension():
 
 
 def test_cycle_rejects_halfspace_and_mixed_dims():
+    with pytest.raises(ValueError, match="^cycle needs at least one set$"):
+        CycleOperator(())
     h = HalfSpace(np.array([1.0, 0.0]), 1.0)
     with pytest.raises(ValueError):
         CycleOperator((h, HalfSpace(np.array([1.0, 0.0, 0.0]), 0.0)))
