@@ -37,12 +37,11 @@ __all__ = [
 def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
     """Nearest point of the intersection of affine sets to x0.
 
-    Stacks all sets' constraint rows into A x = b and removes the
-    minimum-norm correction A^+ (A x0 - b) from x0, with singular values
-    below RANK_CUTOFF * sigma_max treated as zero.  Raises
-    InfeasibleProblemError when the stacked system is inconsistent, read
-    in distances to the sets, and NumericalFailureError at iteration 0
-    when the result is not finite (A x0 overflows).
+    Subtracts A^+ (A x0 - b) from x0, where A x = b stacks all sets' rows and
+    singular values below RANK_CUTOFF * sigma_max count as 0, so its absolute
+    error is about 1e-16 |x0|.  Raises InfeasibleProblemError when the stacked
+    system is inconsistent, read in distances to the sets, and
+    NumericalFailureError at iteration 0 when the result is not finite.
     """
     x0 = as_vector(x0)
     if not sets:

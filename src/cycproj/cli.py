@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .acceleration import IterationTrace, SolveConfig, StepRule, solve
+from .acceleration import SolveConfig, StepRule, solve
 from .analysis import exact_projection
 from .geometry import Hyperplane, InfeasibleProblemError, NumericalFailureError, Span
 from .operators import CycleOperator, DouglasRachfordOperator
@@ -62,9 +62,6 @@ SOLVE_METHODS = ("cp", "gk-affine", "sym-cp", "accel-sym-cp", "dr", "accel-dr")
 BENCH_METHODS = ("cp", "accel-cp", "sym-cp", "accel-sym-cp")
 SWEEP_METHODS = ("cp", "gk-affine")
 
-# x0 is declared already feasible when its distance to every set sits below
-# this relative bound; the solve then reports zero iterations.
-FEASIBLE_X0_TOL = 1e-12
 # The exact-projection oracle is skipped when constraint rows times ambient
 # dimension exceeds this (it would dominate the run).
 ORACLE_SIZE_LIMIT = 4_000_000
@@ -253,8 +250,6 @@ def cmd_solve(args) -> int:
     with np.errstate(all="ignore"):
         x0, sets = parse_problem_file(args.problem)
         op, rule = build_operator(sets, method)
-        worst = math.sqrt(max(s.project_with_gap(x0)[1] for s in sets))
-        bound = FEASIBLE_X0_TOL * (1.0 + float(np.linalg.norm(x0)))
         target = _solution_estimate(x0, sets)
         cfg = SolveConfig(
             eps=args.eps,
@@ -276,11 +271,7 @@ def cmd_solve(args) -> int:
                     cols += (math.sqrt(e.dot(e)),)  # as np.linalg.norm computes it
                 fh.write(line % cols)
 
-            # A start on every set is a zero-iteration run (an overflowing one is not).
-            if np.isfinite(bound) and worst <= bound:
-                trace = IterationTrace(x0, x0, iterations=0, stop="converged")
-            else:
-                trace = solve(op, rule, x0, cfg, on_row=write_row)
+            trace = solve(op, rule, x0, cfg, on_row=write_row)
     _summary(method, trace.stop, trace.iterations, shadow(trace.final))
     return 0 if trace.converged else 2
 

@@ -214,15 +214,17 @@ def test_solve_accelerated_trace_and_final(tmp_path, capsys):
     assert iters["gk-affine"] <= iters["cp"]
 
 
-def test_solve_feasible_start_writes_empty_trace(tmp_path, capsys):
+def test_solve_start_on_every_set_takes_one_update(tmp_path, capsys):
+    # Every start runs through solve: one on both lines takes one update,
+    # whose change is 0, and stops on it.
     text = "dim 2\nx0 2 2\nhyperplane 0 1 2\nhyperplane 1 -1 0\n"
     problem = write_problem(tmp_path, text)
     out = tmp_path / "trace.csv"
     code = main(["solve", problem, "--out", str(out)])
     assert code == 0
-    assert out.read_text() == "k,t_k,successive_change,dist_to_solution\n"
-    assert "after 0 iterations" in capsys.readouterr().err
-    # A feasible start does not skip the method's own check of the sets.
+    assert out.read_text() == "k,t_k,successive_change,dist_to_solution\n1,1,0,0\n"
+    assert "converged after 1 iterations" in capsys.readouterr().err
+    # A start on every set does not skip the method's own check of the sets.
     lines = "dim 2\nx0 0 0\nhyperplane 1 0 0\nhyperplane 0 1 0\nhyperplane 1 1 0\n"
     problem = write_problem(tmp_path, lines)
     assert main(["solve", problem, "--method", "dr", "--out", str(out)]) == 1
@@ -230,11 +232,9 @@ def test_solve_feasible_start_writes_empty_trace(tmp_path, capsys):
 
 
 def test_solve_trace_columns_follow_only_the_oracle_rule(tmp_path, monkeypatch, capsys):
-    # Two lines meeting at (1, 1): a start 1e-13 above it lies on both to
-    # FEASIBLE_X0_TOL, one at (3, 4) does not.  Every method writes the
-    # header the oracle rule picks; a feasible start is a run of zero
-    # updates, whose dr answer is its shadow on the first line.
-    first = Hyperplane(np.array([0.0, 1.0]), 1.0)
+    # Two lines meeting at (1, 1), from a start 1e-13 above it and from one
+    # at (3, 4).  Every method writes the header the oracle rule picks, and
+    # takes updates from both starts.
     out = tmp_path / "trace.csv"
     for oracle, columns in ((True, ",dist_to_solution"), (False, "")):
         if not oracle:
@@ -250,15 +250,7 @@ def test_solve_trace_columns_follow_only_the_oracle_rule(tmp_path, monkeypatch, 
                 header, *rows = out.read_text().splitlines()
                 assert code == 0, case
                 assert header == "k,t_k,successive_change" + columns, case
-                if x0[0] == 3.0:
-                    assert rows and f"{method}: converged after" in err, case
-                    continue
-                assert rows == [] and f"{method}: converged after 0 iterations" in err, case
-                dr = cycproj.cli.PLANS[method][0] == "dr"
-                final = first.project(np.array(x0)) if dr else x0
-                assert "final: " + " ".join(format(v, ".17g") for v in final) in err
-                # The start is off the first line, so its shadow is not the start.
-                assert dr == (final[1] != x0[1]), case
+                assert rows and f"{method}: converged after" in err, case
 
 
 def test_solve_store_every_zero_keeps_header_only(tmp_path, capsys):
@@ -410,16 +402,21 @@ def trace_csv(problem, method, store_every):
 @pytest.mark.parametrize("store_every", ["1", "3", "0"])
 def test_streamed_csv_equals_in_memory_trace(tmp_path, capsys, store_every):
     # 70 rows take the row kernel; the dr methods need exactly two sets,
-    # so only the pair runs them.
+    # so only the pair and the planes run them.  The planes' start lies
+    # 1e-8 off the first, 10 times eps: it takes updates like any other.
     rng = np.random.default_rng(70)
     a = rng.standard_normal((70, 140))
     p = rng.standard_normal(140)
     x0 = p + a.T @ rng.standard_normal(70) / 10.0
     system = write_rows_problem(tmp_path, "system.txt", x0, a, a @ p)
     pair = write_rows_problem(tmp_path, "pair.txt", *hyperplane_pair(rng, 20, 0.3))
+    planes = write_rows_problem(
+        tmp_path, "planes.txt", [1e-8, 0.0, 1e4], np.eye(3)[:2], np.zeros(2)
+    )
     cycles = [m for m in SOLVE_METHODS if not m.endswith("dr")]
     out = tmp_path / "trace.csv"
-    for problem, methods in ((system, cycles), (pair, SOLVE_METHODS)):
+    problems = ((system, cycles), (pair, SOLVE_METHODS), (planes, SOLVE_METHODS))
+    for problem, methods in problems:
         for method in methods:
             args = ["solve", problem, "--method", method, "--store-every", store_every]
             assert main(args + ["--out", str(out)]) == 0, method
