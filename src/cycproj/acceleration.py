@@ -186,7 +186,7 @@ def _validate_rule(op, rule: StepRule) -> None:
 
 
 def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTrace:
-    """Run the relaxed iteration of op from x0 under the given step rule.
+    """Run the relaxed iteration of op from a finite x0 under the given step rule.
 
     On a symmetric composite (cycle or Douglas-Rachford pair) the
     gk-affine rule first advances the start point by one application of
@@ -206,7 +206,7 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     in the order the trace would keep it, and the trace's per-row lists
     stay empty, so memory does not grow with the iteration count.
     """
-    x0 = as_vector(x0)
+    x0 = _finite(x0, "x0")
     sol = cfg.solution
     for name, v in (("x0", x0), ("solution", sol)):
         if v is not None and v.shape[0] != op.dim:

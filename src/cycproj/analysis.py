@@ -18,12 +18,12 @@ from .geometry import (
     NumericalFailureError,
     _affine_dim,
     _check_dim,
+    _finite,
     _nearest_solution,
     _orthonormal,
     _principal,
     _row_basis,
     _stacked_constraints,
-    as_vector,
 )
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 
 
 def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
-    """Nearest point of the intersection of affine sets to x0.
+    """Nearest point to a finite x0 of the intersection of one or more affine sets.
 
     Subtracts A^+ (A x0 - b) from x0, where A x = b stacks all sets' rows and
     singular values below RANK_CUTOFF * sigma_max count as 0, so its absolute
@@ -43,9 +43,7 @@ def exact_projection(x0, sets: Sequence[AffineSet]) -> np.ndarray:
     system is inconsistent, read in distances to the sets, and
     NumericalFailureError at iteration 0 when the result is not finite.
     """
-    x0 = as_vector(x0)
-    if not sets:
-        raise ValueError("need at least one set")
+    x0 = _finite(x0, "x0")
     _check_dim(_affine_dim(sets), x0)
     p = _nearest_solution(*_stacked_constraints(sets), x0)
     if not np.all(np.isfinite(p)):

@@ -76,7 +76,9 @@ def _check_dim(dim: int, x: np.ndarray) -> None:
 
 
 def _common_dim(sets) -> int:
-    """The ambient dimension that a nonempty sequence of sets shares."""
+    """The ambient dimension that a sequence of sets shares; ValueError if empty."""
+    if not sets:
+        raise ValueError("need at least one set")
     if any(s.dim != sets[0].dim for s in sets):
         raise DimensionMismatchError("all sets must share one ambient dimension")
     return sets[0].dim

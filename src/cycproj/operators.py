@@ -130,8 +130,6 @@ class CycleOperator:
 
     def __post_init__(self, kernel):
         sets = tuple(self.sets)
-        if not sets:
-            raise ValueError("cycle needs at least one set")
         if self.mode not in ("cyclic", "symmetric"):
             raise ValueError(f"unknown mode {self.mode!r}")
         _common_dim(sets)
@@ -150,12 +148,12 @@ class CycleOperator:
         object.__setattr__(self, "_kernel", kernel)
 
     @classmethod
-    def from_rows(cls, a, b, mode: str = "cyclic") -> "CycleOperator":
-        """The cycle over the hyperplanes a[i] . x = b[i], i = 0 .. n-1.
+    def from_rows(cls, a, b) -> "CycleOperator":
+        """The cycle over the hyperplanes a[i] . x = b[i], i = 0 .. n-1, mode "cyclic".
 
         Each Hyperplane's normal is a view of a row of `a`, and the row
         kernel works on `a` itself, so a float64 matrix is never copied.
-        The cycle over the same rows in the other mode is `with_mode`.
+        The symmetric cycle over the same rows is `.with_mode("symmetric")`.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -164,7 +162,7 @@ class CycleOperator:
                 f"rows must be (n, d) with n offsets, got {a.shape} and {b.shape}"
             )
         sets = tuple(Hyperplane(a[i], float(b[i])) for i in range(a.shape[0]))
-        return cls(sets, mode, _RowKernel(a, sets) if len(sets) >= ROW_BLOCK else None)
+        return cls(sets, _kernel=_RowKernel(a, sets) if len(sets) >= ROW_BLOCK else None)
 
     def with_mode(self, mode: str) -> "CycleOperator":
         """The cycle over the same sets in `mode`, sharing the sets tuple

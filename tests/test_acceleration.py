@@ -159,7 +159,7 @@ def test_solve_steps_match_traced_step_on_row_kernel():
     b = a @ rng.standard_normal(d)
     x0 = 5.0 * rng.standard_normal(d)
     for mode in ("cyclic", "symmetric"):
-        op = CycleOperator.from_rows(a, b, mode)
+        op = CycleOperator.from_rows(a, b).with_mode(mode)
         tr = solve(op, StepRule("gk-affine"), x0, SolveConfig(eps=1e-10, max_iter=1000))
         assert tr.converged
         assert tr.ks == list(range(1, tr.iterations + 1))
@@ -229,7 +229,7 @@ def test_row_kernel_iteration_counts_match_row_loop():
     b = a @ inst_rng.standard_normal(m)
     cfg = SolveConfig(eps=1e-6, max_iter=100_000, store_every=0)
     for mode in ("cyclic", "symmetric"):
-        kernel = CycleOperator.from_rows(a, b, mode)
+        kernel = CycleOperator.from_rows(a, b).with_mode(mode)
         loop = _RowLoop(kernel._stage_sets)
         for r in range(10):
             v = np.random.default_rng([seed, m, n, r]).standard_normal(m)
@@ -407,10 +407,20 @@ def test_solve_rule_operator_pairing_errors():
     for length in (1, 3):
         with pytest.raises(ValueError):
             solve(cyc, StepRule("unit"), x0, SolveConfig(solution=np.zeros(length)))
-    # a non-finite solution is refused before the first update
+    # a non-finite solution or start is refused before the first update
     for sol in ([np.nan, 0.0], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="^solution must be finite$"):
             solve(cyc, StepRule("unit"), x0, SolveConfig(solution=sol))
+    runs = (
+        (cyc, StepRule("unit")),
+        (cyc, StepRule("gk-affine")),
+        (cyc.with_mode("symmetric"), StepRule("gk-affine")),
+        (DouglasRachfordOperator(XAXIS, DIAGONAL), StepRule("gk-affine")),
+    )
+    for op, rule in runs:
+        for start in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="^x0 must be finite$"):
+                solve(op, rule, start, SolveConfig())
     # half-space cycles take only the unit and oracle rules
     halves = (HalfSpace(XAXIS.normal, 0.0), HalfSpace(DIAGONAL.normal, 0.0))
     for mode in ("cyclic", "symmetric"):

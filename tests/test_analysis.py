@@ -109,8 +109,12 @@ def test_exact_projection_full_row_rank_is_consistent():
 
 def test_exact_projection_input_validation():
     h = Hyperplane(np.array([1.0, 0.0]), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one set$"):
         exact_projection(np.zeros(2), [])
+    # A non-finite start is refused before any work.
+    for x0 in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            exact_projection(x0, [h])
     with pytest.raises(TypeError):
         exact_projection(np.zeros(2), [HalfSpace(np.array([1.0, 0.0]), 1.0)])
     with pytest.raises(ValueError):

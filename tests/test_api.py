@@ -5,6 +5,7 @@ run, and the source stays within its line budget."""
 import ast
 import copy
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -77,6 +78,13 @@ def test_step_rules_and_set_methods_are_pinned():
         "constraint_rows", "dim", "project", "project_with_gap", "rank"
     ]
     assert public(HalfSpace) == ["dim", "project", "project_with_gap"]
+
+
+def test_from_rows_spelling_is_pinned():
+    # A row cycle has one construction: from_rows(a, b) is the cyclic cycle
+    # and with_mode gives the other mode.  A mode parameter added back shows
+    # up as an edit here.
+    assert list(inspect.signature(CycleOperator.from_rows).parameters) == ["a", "b"]
 
 
 def test_import_graph_is_pinned():

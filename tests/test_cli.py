@@ -907,7 +907,7 @@ for method in ("cp", "accel-sym-cp"):
 _, sets = parse_problem_file({system!r})
 assert CycleOperator(tuple(sets))._kernel is not None
 rows = np.random.default_rng(0).standard_normal(({ROW_BLOCK} + 1, 70))
-op = CycleOperator.from_rows(rows, np.zeros({ROW_BLOCK} + 1), "symmetric")
+op = CycleOperator.from_rows(rows, np.zeros({ROW_BLOCK} + 1)).with_mode("symmetric")
 assert op._kernel is not None
 op.apply_with_increments(np.ones(70))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -942,11 +942,13 @@ def test_solve_point_constraint(tmp_path, capsys):
 
 
 def test_stdout_default_stream(tmp_path, capsys):
+    # With no --out, and with --out -, the trace goes to stdout.
     problem = write_problem(tmp_path, TWO_LINES)
-    assert main(["solve", problem, "--method", "gk-affine"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("k,t_k,successive_change")
-    assert "gk-affine: converged" in captured.err
+    for out in ([], ["--out", "-"]):
+        assert main(["solve", problem, "--method", "gk-affine", *out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("k,t_k,successive_change")
+        assert "gk-affine: converged" in captured.err
 
 
 def test_solve_final_matches_exact_projection(tmp_path, capsys):
