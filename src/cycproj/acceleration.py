@@ -14,7 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import InfeasibleProblemError, NumericalFailureError, _finite, as_vector
+from .geometry import (
+    DimensionMismatchError,
+    InfeasibleProblemError,
+    NumericalFailureError,
+    _finite,
+    as_vector,
+)
 
 __all__ = [
     "StepRule",
@@ -208,9 +214,10 @@ def solve(op, rule: StepRule, x0, cfg: SolveConfig, on_row=None) -> IterationTra
     """
     x0 = _finite(x0, "x0")
     sol = cfg.solution
-    for name, v in (("x0", x0), ("solution", sol)):
+    for name, v in (("x0", x0), ("solution", sol), ("oracle witness m", rule.m)):
         if v is not None and v.shape[0] != op.dim:
-            raise ValueError(f"operator lives in R^{op.dim}, {name} in R^{v.shape[0]}")
+            msg = f"operator lives in R^{op.dim}, {name} in R^{v.shape[0]}"
+            raise DimensionMismatchError(msg)
     _validate_rule(op, rule)
 
     variant = rule.variant

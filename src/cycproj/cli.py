@@ -3,10 +3,10 @@
 Three subcommands: `solve` runs one method on a problem file and emits a
 per-iteration trace; `angle-sweep` measures iteration counts of plain
 versus line-search cyclic projections on two lines at a controlled
-angle; `hyperplane-bench` times both methods on random hyperplane
-systems.  Summary tables are CSV with fixed headers; all randomness is
-derived from the --seed flag, so identical invocations produce identical
-data columns (timings excluded).
+angle; `hyperplane-bench` times up to four methods (two by default) on
+random hyperplane systems.  Summary tables are CSV with fixed headers;
+all randomness is derived from the --seed flag, so identical invocations
+produce identical data columns (timings excluded).
 """
 
 from __future__ import annotations
@@ -249,6 +249,9 @@ def cmd_solve(args) -> int:
     # in one error line; numpy's warnings would only repeat it.
     with np.errstate(all="ignore"):
         x0, sets = parse_problem_file(args.problem)
+        if args.out not in (None, "-") and os.path.exists(args.out):
+            if os.path.samefile(args.out, args.problem):
+                raise UsageError(f"--out {args.out} is the problem file")
         op, rule = build_operator(sets, method)
         target = _solution_estimate(x0, sets)
         cfg = SolveConfig(
@@ -505,7 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--theta-step", type=_number(float, "theta-step", 0), default=0.01
     )
-    p_sweep.add_argument("--reps", type=_number(int, "reps", 0), default=10)
     # cp needs about 224,500 iterations at the grid's smallest angle, 0.01.
     common(p_sweep, eps_default=1e-9, max_iter_default=400_000)
     p_sweep.set_defaults(func=cmd_angle_sweep)
@@ -522,13 +524,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--n", type=_number(int, "n", 0), default=None, help="defaults to m // 2"
     )
-    p_bench.add_argument("--reps", type=_number(int, "reps", 0), default=10)
     p_bench.add_argument(
         "--methods", default="cp,accel-cp", help="comma-separated method list"
     )
     common(p_bench, eps_default=1e-6)
     p_bench.set_defaults(func=cmd_hyperplane_bench)
     for p in (p_sweep, p_bench):
+        p.add_argument("--reps", type=_number(int, "reps", 0), default=10)
         p.add_argument("--seed", type=_number(int, "seed", -1), default=0)
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -168,11 +168,12 @@ def _principal(u: np.ndarray, v: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class _NormalForm:
-    """A set's normal, offset and |normal|^2, checked once (_what names the set),
-    and project_with_gap, the one hyperplane formula both subclasses share."""
+    """A set's normal, offset and |normal|^2, checked once (_what names the set), and
+    project_with_gap, the one formula both share; one-sided sets keep x at c <= 0."""
 
     normal: np.ndarray
     offset: float
+    _one_sided: ClassVar[bool] = False
 
     def __post_init__(self):
         normal = as_vector(self.normal)
@@ -199,6 +200,8 @@ class _NormalForm:
         if x.shape[0] != self.normal.shape[0]:
             _check_dim(self.dim, x)
         c = (float(self.normal.dot(x)) - self.offset) / self._nsq
+        if c <= 0.0 and self._one_sided:  # x is feasible
+            return x, 0.0
         return x - c * self.normal, c * c * self._nsq
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -255,13 +258,7 @@ class HalfSpace(_NormalForm):
     """The set {x : <normal, x> <= offset}, normal nonzero."""
 
     _what = "half-space"
-
-    def project_with_gap(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        if x.shape[0] != self.normal.shape[0]:
-            _check_dim(self.dim, x)
-        if float(self.normal.dot(x)) - self.offset <= 0.0:  # x is feasible
-            return x, 0.0
-        return super().project_with_gap(x)
+    _one_sided: ClassVar[bool] = True
 
 
 # Affine sets admit reflectors and span/constraint forms; half-spaces only

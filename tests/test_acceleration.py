@@ -19,7 +19,12 @@ from cycproj.acceleration import (
 )
 from cycproj.analysis import exact_projection
 from cycproj.cli import _theta_grid, _unit_start, angle_instance
-from cycproj.geometry import HalfSpace, Hyperplane, InfeasibleProblemError
+from cycproj.geometry import (
+    DimensionMismatchError,
+    HalfSpace,
+    Hyperplane,
+    InfeasibleProblemError,
+)
 from cycproj.operators import (
     ROW_BLOCK,
     CycleOperator,
@@ -399,14 +404,21 @@ def test_solve_rule_operator_pairing_errors():
     offset = CycleOperator((Hyperplane(np.array([1.0, 0.0]), 5.0),))
     with pytest.raises(ValueError, match="witness is not fixed by the operator"):
         solve(offset, StepRule("oracle", np.zeros(2)), x0, SolveConfig())
-    with pytest.raises(ValueError):
+    # a vector of the wrong length is a DimensionMismatchError naming it
+    want = r"^operator lives in R\^2, x0 in R\^3$"
+    with pytest.raises(DimensionMismatchError, match=want):
         solve(cyc, StepRule("unit"), np.zeros(3), SolveConfig())
     with pytest.raises(ValueError, match=r"^expected a 1-D vector, got shape \(2, 1\)$"):
         solve(cyc, StepRule("unit"), np.zeros((2, 1)), SolveConfig())
-    # a solution of the wrong length would broadcast into the distances
+    # a solution of the wrong length would broadcast into the distances, and a
+    # witness of the wrong length is caught before the operator is applied to it
     for length in (1, 3):
-        with pytest.raises(ValueError):
+        want = rf"^operator lives in R\^2, solution in R\^{length}$"
+        with pytest.raises(DimensionMismatchError, match=want):
             solve(cyc, StepRule("unit"), x0, SolveConfig(solution=np.zeros(length)))
+        want = rf"^operator lives in R\^2, oracle witness m in R\^{length}$"
+        with pytest.raises(DimensionMismatchError, match=want):
+            solve(cyc, StepRule("oracle", np.zeros(length)), x0, SolveConfig())
     # a non-finite solution or start is refused before the first update
     for sol in ([np.nan, 0.0], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="^solution must be finite$"):

@@ -78,6 +78,10 @@ def test_step_rules_and_set_methods_are_pinned():
         "constraint_rows", "dim", "project", "project_with_gap", "rank"
     ]
     assert public(HalfSpace) == ["dim", "project", "project_with_gap"]
+    # One normal-form body: _NormalForm.project_with_gap serves both
+    # Hyperplane and HalfSpace (the latter one-sided), and Span has its own.
+    bodies = (Hyperplane, HalfSpace, Span)
+    assert [c.__name__ for c in bodies if "project_with_gap" in vars(c)] == ["Span"]
 
 
 def test_from_rows_spelling_is_pinned():

@@ -290,6 +290,26 @@ def test_overflow_prints_one_error_line(tmp_path, x0, rows, line):
         assert not (tmp_path / "t.csv").exists(), method
 
 
+def test_out_naming_the_problem_file_leaves_it_untouched(tmp_path, monkeypatch, capsys):
+    # An --out that names the problem file, by another spelling or through a
+    # link, is refused before it is opened, whether the run would fail (the
+    # first update overflows) or succeed.
+    overflow = "dim 2\nx0 1e200 1e200\nhyperplane 1 0 0\nhyperplane 0 1 0\n"
+    monkeypatch.chdir(tmp_path)
+    for text in (overflow, TWO_LINES):
+        write_problem(tmp_path, text, name="p.txt")
+        os.symlink("p.txt", "link.txt")
+        os.link("p.txt", "hard.txt")
+        for out in ("p.txt", "./p.txt", "link.txt", "hard.txt"):
+            assert main(["solve", "p.txt", "--out", out]) == 1, out
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --out {out} is the problem file\n"
+            assert captured.out == ""
+            assert (tmp_path / "p.txt").read_bytes() == text.encode(), out
+        os.remove("link.txt")
+        os.remove("hard.txt")
+
+
 FLAG_ERRORS = [
     ("hyperplane-bench", "--m", "x", "m must be an integer"),
     ("hyperplane-bench", "--reps", "x", "reps must be an integer"),

@@ -109,6 +109,10 @@ def test_halfspace_projection():
     assert h.project(inside) is inside
     p, gap = h.project_with_gap(inside)
     assert p is inside and gap == 0.0
+    # So does a point on the boundary, where the slack is exactly 0.0.
+    boundary = np.array([1.0, 7.0])
+    p, gap = h.project_with_gap(boundary)
+    assert p is boundary and gap == 0.0
 
 
 def test_halfspace_result_is_feasible():
