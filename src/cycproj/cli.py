@@ -243,7 +243,7 @@ def _solution_estimate(x0, sets) -> Optional[np.ndarray]:
     return exact_projection(x0, sets)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> bool:
     method = args.method
     # Overflow shows as a non-finite value, which the checks below report
     # in one error line; numpy's warnings would only repeat it.
@@ -276,7 +276,7 @@ def cmd_solve(args) -> int:
 
             trace = solve(op, rule, x0, cfg, on_row=write_row)
     _summary(method, trace.stop, trace.iterations, shadow(trace.final))
-    return 0 if trace.converged else 2
+    return trace.converged
 
 
 def _summary(method: str, stop: str, iterations: int, final: np.ndarray) -> None:
@@ -397,17 +397,20 @@ def hyperplane_bench(
     return rows
 
 
-def write_table(header: str, rows: Sequence, fh) -> None:
-    """Write a CSV table: each column is the row attribute the header names."""
-    columns = header.split(",")
-    fh.write(header + "\n")
-    for row in rows:
-        cells = []
-        for name in columns:
-            value = getattr(row, name)
-            is_float = isinstance(value, float)
-            cells.append(_fmt(value, TABLE_DIGITS) if is_float else str(value))
-        fh.write(",".join(cells) + "\n")
+def _write_table(out: Optional[str], header: str, make_rows) -> bool:
+    """Open out, then write make_rows() as CSV; True if every row converged."""
+    with _open_out(out) as fh:
+        rows = make_rows()
+        fh.write(header + "\n")
+        for row in rows:
+            cells = (getattr(row, name) for name in header.split(","))
+            line = ",".join(
+                _fmt(v, TABLE_DIGITS) if isinstance(v, float) else str(v) for v in cells
+            )
+            fh.write(line + "\n")
+            if not row.all_converged:
+                print(f"not converged: {line}", file=sys.stderr)
+    return all(r.all_converged for r in rows)
 
 
 def _theta_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -419,15 +422,13 @@ def _theta_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(int(last) + 1)
 
 
-def cmd_angle_sweep(args) -> int:
+def cmd_angle_sweep(args) -> bool:
     thetas = _theta_grid(args.theta_min, args.theta_max, args.theta_step)
-    with _open_out(args.out) as fh:
-        rows = angle_sweep(thetas, args.reps, args.eps, args.seed, args.max_iter)
-        write_table(SWEEP_HEADER, rows, fh)
-    return 0 if all(r.all_converged for r in rows) else 2
+    sweep = (thetas, args.reps, args.eps, args.seed, args.max_iter)
+    return _write_table(args.out, SWEEP_HEADER, lambda: angle_sweep(*sweep))
 
 
-def cmd_hyperplane_bench(args) -> int:
+def cmd_hyperplane_bench(args) -> bool:
     sizes = [(m, args.n if args.n is not None else m // 2) for m in args.m]
     for m, n in sizes:
         if n < 1:
@@ -440,14 +441,12 @@ def cmd_hyperplane_bench(args) -> int:
             raise UsageError(f"unknown benchmark method {name!r}")
         if name in methods[:i]:
             raise UsageError(f"benchmark method {name!r} is given twice")
-    with _open_out(args.out) as fh:
-        rows = []
-        for m, n in sizes:
-            rows += hyperplane_bench(
-                m, n, args.reps, args.eps, args.seed, methods, args.max_iter
-            )
-        write_table(BENCH_HEADER, rows, fh)
-    return 0 if all(r.all_converged for r in rows) else 2
+    common = (args.reps, args.eps, args.seed, methods, args.max_iter)
+    return _write_table(
+        args.out,
+        BENCH_HEADER,
+        lambda: [r for m, n in sizes for r in hyperplane_bench(m, n, *common)],
+    )
 
 
 def _number(kind, what, low=None):
@@ -536,14 +535,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point returning the process exit code."""
+    """The process exit code; each subcommand returns whether it converged."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        return 0 if args.func(args) else 2
     except (ProblemFileError, UsageError, NumericalFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
-"""Every exported name resolves, the import graph holds, the benchmark's
-hooks hold, sets and composites compare by identity, the README's examples
-run, and the source stays within its line budget."""
+"""Every exported name resolves, the import graph holds, exit codes are
+set in one place, the benchmark's hooks hold, sets and composites compare
+by identity, the README's examples run, and the source stays within its
+line budget."""
 
 import ast
 import copy
@@ -109,6 +110,31 @@ def test_import_graph_is_pinned():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 got |= {node.module} if node.module else {a.name for a in node.names}
         assert got <= want, (name, got - want)
+
+
+def test_exit_codes_are_set_in_main_only():
+    # Each subcommand returns whether it converged and main maps that to an
+    # exit code.  A second copy of the 0/2 rule shows up here.
+    def int_constant(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    def int_choice(node):  # a constant, or a conditional between constants
+        if isinstance(node, ast.IfExp):
+            return int_constant(node.body) and int_constant(node.orelse)
+        return int_constant(node)
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    returns_two = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        values = [n.value for n in ast.walk(func)
+                  if isinstance(n, ast.Return) and n.value is not None]
+        if func.name.startswith("cmd_"):
+            assert [ast.unparse(v) for v in values if int_choice(v)] == [], func.name
+        if any(int_constant(n) and n.value == 2 for v in values for n in ast.walk(v)):
+            returns_two.add(func.name)
+    assert returns_two == {"main"}
 
 
 def test_benchmark_hooks(monkeypatch):

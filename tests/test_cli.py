@@ -669,7 +669,25 @@ def test_angle_sweep_failure_paths(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert out.read_text().splitlines()[0] == SWEEP_HEADER
+    lines = out.read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER
+    # Each unconverged row is named on stderr by its CSV line.
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["not converged: " + line for line in lines[1:]]
+    assert [line.split(",")[1] for line in lines[1:]] == ["cp", "gk-affine"]
+
+
+def test_hyperplane_bench_unconverged_exits_2(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    args = ["hyperplane-bench", "--m", "40", "--reps", "1", "--max-iter", "2"]
+    assert main(args + ["--out", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    assert lines[0] == BENCH_HEADER
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["not converged: " + line for line in lines[1:]]
+    assert len(err) == 2
+    assert err[0].startswith("not converged: 40,20,cp,")
+    assert err[1].startswith("not converged: 40,20,accel-cp,")
 
 
 def test_hyperplane_bench_schema_and_determinism(tmp_path):
