@@ -93,6 +93,7 @@ class SweepRow:
     reps: int
     seed: int
     all_converged: bool
+    stops: set  # the distinct stop reasons of the runs that did not converge
 
 
 @dataclass
@@ -108,6 +109,7 @@ class BenchRow:
     reps: int
     seed: int
     all_converged: bool
+    stops: set
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -345,6 +347,7 @@ def angle_sweep(
                     reps=reps,
                     seed=seed,
                     all_converged=all(tr.converged for tr, _ in runs),
+                    stops={tr.stop for tr, _ in runs if not tr.converged},
                 )
             )
     return rows
@@ -392,6 +395,7 @@ def hyperplane_bench(
                 reps=reps,
                 seed=seed,
                 all_converged=all(tr.converged for tr, _ in runs),
+                stops={tr.stop for tr, _ in runs if not tr.converged},
             )
         )
     return rows
@@ -409,7 +413,8 @@ def _write_table(out: Optional[str], header: str, make_rows) -> bool:
             )
             fh.write(line + "\n")
             if not row.all_converged:
-                print(f"not converged: {line}", file=sys.stderr)
+                why = ", ".join(sorted(row.stops))
+                print(f"not converged: {line} ({why})", file=sys.stderr)
     return all(r.all_converged for r in rows)
 
 

@@ -66,8 +66,8 @@ class _RowKernel:
         self.a = a
         self.b = np.array([s.offset for s in sets])
         self.nsq = nsq = np.array([s._nsq for s in sets])
-        self.blocks = []
         n = a.shape[0]
+        forward, backward = [], []
         for start in range(0, n, ROW_BLOCK):
             stop = min(start + ROW_BLOCK, n)
             rows = a[start:stop]
@@ -76,14 +76,15 @@ class _RowKernel:
             unit = np.tril(u @ u.T)
             np.fill_diagonal(unit, 1.0)
             inv = np.tril(s[:, None] * np.linalg.inv(unit) * s)
-            self.blocks.append((start, stop, inv))
-
-    def _block(self, x, start, stop, inv, backward) -> np.ndarray:
-        rows = self.a[start:stop]
-        r = self.b[start:stop] - rows @ x
-        z = inv.T @ r if backward else inv @ r
-        x += rows.T @ z
-        return z * z * self.nsq[start:stop]
+            forward.append((slice(start, stop), slice(start, stop), inv))
+            # W^T sweeps back over rows start+k-1 .. start (n-2 at most), and row
+            # i's increment is stage 2n-2-i of 2n-1.  The leading block of a
+            # triangle's inverse inverts its leading block.
+            k = min(stop, n - 1) - start
+            back = slice(2 * n - 2 - start, 2 * n - 2 - start - k, -1)
+            backward.append((slice(start, start + k), back, inv.T[:k, :k]))
+        # Each mode's (rows, stages, W) in sweep order, indexed by `symmetric`.
+        self.plans = (forward, forward + backward[::-1])
 
     def sweep(self, x, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
         """One cyclic (or symmetric) application and its stage increments."""
@@ -91,17 +92,11 @@ class _RowKernel:
         _check_dim(self.a.shape[1], x)
         n = self.a.shape[0]
         inc = np.empty(2 * n - 1 if symmetric else n)
-        for start, stop, inv in self.blocks:
-            inc[start:stop] = self._block(x, start, stop, inv, False)
-        if symmetric:
-            # Rows n-2 .. 0; row i's increment is stage 2n-2-i of 2n-1.
-            # The leading block of a triangle's inverse inverts its leading block.
-            for start, stop, inv in reversed(self.blocks):
-                if stop == n:
-                    stop -= 1
-                    inv = inv[:-1, :-1]
-                w = self._block(x, start, stop, inv, True)
-                inc[2 * n - 1 - stop:2 * n - 1 - start] = w[::-1]
+        for rows, stages, w in self.plans[symmetric]:
+            a = self.a[rows]
+            z = w @ (self.b[rows] - a @ x)
+            x += a.T @ z
+            inc[stages] = z * z * self.nsq[rows]
         return x, inc
 
 

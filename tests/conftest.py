@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library's own formulas: projections
 come from least squares or KKT solves, line-search minimisers from grid
 scans with parabolic refinement, and subspace samples from scipy null
 spaces.  `stage_trace` is the row-by-row reference for the composites'
-fast routes.
+fast routes, and `block_sweep` writes out the row kernel's blocked
+recurrence, which the kernel must match bit for bit.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from cycproj.geometry import DimensionMismatchError, HalfSpace, Hyperplane, Span
-from cycproj.operators import DouglasRachfordOperator
+from cycproj.operators import ROW_BLOCK, DouglasRachfordOperator
 
 
 def orthonormal_columns(rng, d, r):
@@ -164,6 +165,46 @@ def stage_trace(op, x):
     for s in op.sets + (tuple(reversed(op.sets[:-1])) if op.symmetric else ()):
         stages.append(s.project(stages[-1]))
     return StageTrace(stages)
+
+
+def block_sweep(a, b, x, symmetric):
+    """One cyclic (or symmetric) sweep over the rows a[i] . x = b[i], written
+    out as the blocked Gauss-Seidel recurrence of the stacked row kernel.
+
+    Rows go in blocks of ROW_BLOCK.  Each block's W is
+    tril(S (tril(U U^T) with a unit diagonal)^-1 S), S = diag(1/|a_i|) and
+    U = S A_B.  The forward pass takes z = W (b_B - A_B x) and x += A_B^T z
+    block by block; the symmetric backward pass runs over rows n-2 .. 0,
+    last block first, with W^T, cut in the last block to its leading
+    (k-1) x (k-1) part.  Row i's increment z_i^2 |a_i|^2 is stage i on the
+    way forward and stage 2n-2-i on the way back.  Every product is the
+    one the kernel takes, so the two agree bit for bit.
+    """
+    n = a.shape[0]
+    nsq = np.array([np.vdot(row, row) for row in a])
+    x = np.array(x, dtype=float)
+    inc = np.empty(2 * n - 1 if symmetric else n)
+    blocks = []
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        s = 1.0 / np.sqrt(nsq[start:stop])
+        u = a[start:stop] * s[:, None]
+        unit = np.tril(u @ u.T)
+        np.fill_diagonal(unit, 1.0)
+        blocks.append((start, stop, np.tril(s[:, None] * np.linalg.inv(unit) * s)))
+    for start, stop, w in blocks:
+        z = w @ (b[start:stop] - a[start:stop] @ x)
+        x += a[start:stop].T @ z
+        inc[start:stop] = z * z * nsq[start:stop]
+    if not symmetric:
+        return x, inc
+    for start, stop, w in reversed(blocks):
+        k = min(stop, n - 1) - start
+        z = w.T[:k, :k] @ (b[start:start + k] - a[start:start + k] @ x)
+        x += a[start:start + k].T @ z
+        for j in range(k):
+            inc[2 * n - 2 - (start + j)] = z[j] * z[j] * nsq[start + j]
+    return x, inc
 
 
 def contraction_factors(trace, eps):

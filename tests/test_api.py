@@ -1,7 +1,7 @@
 """Every exported name resolves, the import graph holds, exit codes are
-set in one place, the benchmark's hooks hold, sets and composites compare
-by identity, the README's examples run, and the source stays within its
-line budget."""
+set in one place, the row kernel sweeps in one loop, the benchmark's hooks
+hold, sets and composites compare by identity, the README's examples run,
+and the source stays within its line budget."""
 
 import ast
 import copy
@@ -22,7 +22,7 @@ import cycproj.acceleration as acceleration
 import cycproj.cli as cli
 from cycproj.acceleration import IterationTrace
 from cycproj.geometry import HalfSpace, Hyperplane, Span
-from cycproj.operators import CycleOperator, DouglasRachfordOperator
+from cycproj.operators import CycleOperator, DouglasRachfordOperator, _RowKernel
 
 
 @pytest.mark.parametrize(
@@ -90,6 +90,16 @@ def test_from_rows_spelling_is_pinned():
     # and with_mode gives the other mode.  A mode parameter added back shows
     # up as an edit here.
     assert list(inspect.signature(CycleOperator.from_rows).parameters) == ["a", "b"]
+
+
+def test_row_kernel_sweep_is_one_loop():
+    # The kernel builds each mode's blocks once, as a plan, and sweep runs
+    # one loop over it.  A direction helper or a second loop added back
+    # shows up as an edit here.
+    methods = [name for name, v in vars(_RowKernel).items() if inspect.isfunction(v)]
+    assert methods == ["__init__", "sweep"]
+    tree = ast.parse(inspect.getsource(_RowKernel.sweep).lstrip())
+    assert sum(isinstance(n, (ast.For, ast.While)) for n in ast.walk(tree)) == 1
 
 
 def test_import_graph_is_pinned():

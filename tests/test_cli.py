@@ -671,10 +671,18 @@ def test_angle_sweep_failure_paths(tmp_path, capsys):
     assert code == 2
     lines = out.read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
-    # Each unconverged row is named on stderr by its CSV line.
+    # Each unconverged row is named on stderr by its CSV line and its runs'
+    # stop reasons, in the library's words.
     err = capsys.readouterr().err.splitlines()
-    assert err == ["not converged: " + line for line in lines[1:]]
+    assert err == [f"not converged: {line} (max-iter)" for line in lines[1:]]
     assert [line.split(",")[1] for line in lines[1:]] == ["cp", "gk-affine"]
+    # An eps below what float64 resolves stalls instead of hitting the limit.
+    stall = ["angle-sweep", "--theta-min", "0.5", "--theta-max", "0.5", "--reps", "2"]
+    assert main(stall + ["--eps", "1e-300", "--out", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"not converged: {line} (stalled)" for line in lines[1:]]
+    assert err[0] == "not converged: 0.5,cp,152.5,0.5,2,0 (stalled)"
 
 
 def test_hyperplane_bench_unconverged_exits_2(tmp_path, capsys):
@@ -684,7 +692,7 @@ def test_hyperplane_bench_unconverged_exits_2(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == BENCH_HEADER
     err = capsys.readouterr().err.splitlines()
-    assert err == ["not converged: " + line for line in lines[1:]]
+    assert err == [f"not converged: {line} (max-iter)" for line in lines[1:]]
     assert len(err) == 2
     assert err[0].startswith("not converged: 40,20,cp,")
     assert err[1].startswith("not converged: 40,20,accel-cp,")

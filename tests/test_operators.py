@@ -21,6 +21,7 @@ from cycproj.operators import (
 from cycproj.analysis import exact_projection
 
 from conftest import (
+    block_sweep,
     dr_half,
     random_affine_instance,
     random_hyperplane_through,
@@ -152,6 +153,27 @@ def test_row_kernel_matches_row_loop(n, mode):
         assert np.linalg.norm(op.apply(x) - ref.last) <= 1e-12 * (1.0 + np.linalg.norm(x))
         assert np.linalg.norm(y - ref.last) <= 1e-12 * (1.0 + np.linalg.norm(x))
         assert np.max(np.abs(inc - ref_inc)) <= 1e-12 * np.sum(ref_inc)
+
+
+@pytest.mark.parametrize("n", [64, 65, 128, 129, 300])
+@pytest.mark.parametrize("mode", ["cyclic", "symmetric"])
+def test_row_kernel_matches_block_sweep_bitwise(n, mode):
+    # The kernel's sweep is pinned to its blocked recurrence, written out in
+    # block_sweep: a change to its arithmetic shows up here, not as roundoff.
+    # Both constructions run the kernel, over the shared and a stacked matrix.
+    rng = np.random.default_rng([52, n])
+    for d in (n // 2, 2 * n):
+        a = rng.standard_normal((n, d))
+        b = rng.standard_normal(n)
+        x = 5.0 * rng.standard_normal(d)
+        want_y, want_inc = block_sweep(a, b, x, mode == "symmetric")
+        rows = CycleOperator.from_rows(a, b).with_mode(mode)
+        for op in (rows, CycleOperator(rows.sets, mode)):
+            assert op._kernel is not None
+            y, inc = op.apply_with_increments(x)
+            assert np.array_equal(y, want_y)
+            assert np.array_equal(inc, want_inc)
+            assert np.array_equal(op.apply(x), want_y)
 
 
 @pytest.mark.skipif(
